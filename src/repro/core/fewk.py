@@ -88,6 +88,12 @@ class FewKConfig:
             m = max(m, b.k_t, b.big_k if b.k_s > 0 else 0)
         return m
 
+    @property
+    def burst_phi(self) -> float | None:
+        """The phi whose interval samples feed the burst test (Section 4.3):
+        the highest phi that keeps samples, or None when none does."""
+        return max((b.phi for b in self.budgets if b.k_s > 0), default=None)
+
     @staticmethod
     def from_fraction(
         *,

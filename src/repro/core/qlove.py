@@ -104,10 +104,6 @@ class QloveOperator:
         # large windows (n = 1000 sub-windows at a 1M/1K query).
         self._summary_space = 0
         self._detector = BurstDetector(alpha=burst_alpha)
-        # Detect bursts on the samples of the highest phi that keeps samples.
-        self._burst_phi = max(
-            (b.phi for b in self.fewk.budgets if b.k_s > 0), default=None
-        )
 
     # ------------------------------------------------------------------ #
     def observe(self, value: float) -> dict[float, float] | None:
@@ -137,8 +133,9 @@ class QloveOperator:
     # ------------------------------------------------------------------ #
     def _complete_subwindow(self) -> dict[float, float] | None:
         summary = self._builder.finalize()
-        if self._burst_phi is not None:
-            summary.bursty = self._detector.observe(summary.sample_k[self._burst_phi])
+        burst_phi = self.fewk.burst_phi
+        if burst_phi is not None:
+            summary.bursty = self._detector.observe(summary.sample_k[burst_phi])
         if len(self._summaries) == self._summaries.maxlen:
             expired = self._summaries[0]
             self._sums -= expired.quantiles  # Level-2 Deaccumulate

@@ -1,11 +1,17 @@
-"""Level-1 tumbling sub-window builder (Algorithm 1).
+"""Level-1 tumbling sub-windows (Algorithm 1).
 
-Maintains the in-flight sub-window's frequency-compressed state
-``{value -> count}`` and, on sub-window completion, computes the exact
-phi-quantiles plus the raw-tail caches few-k merging needs. The paper keeps
-the state in a red-black tree to stay sorted under per-element inserts; in
-Python a hash map plus one sort at ``ComputeResult`` has the same
-per-unique-value asymptotics (O(u log u) per sub-window vs O(P log u)
+:func:`summarize` turns a sub-window's frequency-compressed state
+``{value -> count}`` into its :class:`SubWindowSummary`: the exact
+phi-quantiles plus the raw-tail caches few-k merging needs. It is the one
+Level-1 ``ComputeResult`` of the repository: the kernel's
+:class:`SubWindowBuilder`, the Spark ``applyInPandas`` group function and
+the streaming state handler all call it, so their summaries are
+bit-identical on the same input.
+
+:class:`SubWindowBuilder` maintains the in-flight state of the kernel. The
+paper keeps the state in a red-black tree to stay sorted under per-element
+inserts; in Python a hash map plus one sort at ``ComputeResult`` has the
+same per-unique-value asymptotics (O(u log u) per sub-window vs O(P log u)
 amortized) and the identical output, so that is what we use. A vectorized
 ``accumulate_chunk`` (np.unique) serves the high-throughput path; both paths
 produce bit-identical states.
@@ -21,7 +27,45 @@ from repro.core.fewk import FewKConfig, interval_sample
 from repro.core.quantile import exact_quantiles_freq
 from repro.core.summary import SubWindowSummary
 
-__all__ = ["SubWindowBuilder"]
+__all__ = ["SubWindowBuilder", "summarize"]
+
+
+def summarize(
+    uniq: np.ndarray,
+    counts: np.ndarray,
+    phis: Sequence[float],
+    fewk: FewKConfig,
+    sub_id: int,
+) -> SubWindowSummary:
+    """Summary of one sub-window from its ascending frequency state.
+
+    ``uniq`` holds the sub-window's distinct values in ascending order and
+    ``counts`` their multiplicities. Returns the exact phi-quantiles plus,
+    per few-k budget, the top-``k_t`` cache and the interval samples of the
+    top-``K`` values (both descending, with multiplicity).
+    """
+    top_k: dict[float, np.ndarray] = {}
+    sample_k: dict[float, np.ndarray] = {}
+    k = fewk.max_tail
+    if k > 0:
+        # Only the largest uniques whose counts cover k are expanded; each
+        # unique counts at least once, so they are among the top k.
+        tail_vals = uniq[::-1][:k]
+        tail_counts = counts[::-1][:k]
+        m = int(np.searchsorted(np.cumsum(tail_counts), k)) + 1
+        ranked_desc = np.repeat(tail_vals[:m], tail_counts[:m])[:k]
+        for b in fewk.budgets:
+            if b.k_t > 0:
+                top_k[b.phi] = ranked_desc[: b.k_t].copy()
+            if b.k_s > 0:
+                sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
+    return SubWindowSummary(
+        sub_id=sub_id,
+        count=int(counts.sum()),
+        quantiles=exact_quantiles_freq(uniq, counts, phis),
+        top_k=top_k,
+        sample_k=sample_k,
+    )
 
 
 class SubWindowBuilder:
@@ -120,41 +164,8 @@ class SubWindowBuilder:
         if self._count == 0:
             raise ValueError("finalize() on an empty sub-window")
         uniq, counts = self._compressed_state()
-        quantiles = exact_quantiles_freq(uniq, counts, self.phis)
-
-        top_k: dict[float, np.ndarray] = {}
-        sample_k: dict[float, np.ndarray] = {}
-        tail_need = self.fewk.max_tail
-        if tail_need > 0:
-            ranked_desc = self._tail_prefix(uniq, counts, tail_need)
-            for b in self.fewk.budgets:
-                if b.k_t > 0:
-                    top_k[b.phi] = ranked_desc[: b.k_t].copy()
-                if b.k_s > 0:
-                    sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
-
-        summary = SubWindowSummary(
-            sub_id=self._next_sub_id,
-            count=self._count,
-            quantiles=quantiles,
-            top_k=top_k,
-            sample_k=sample_k,
-        )
+        summary = summarize(uniq, counts, self.phis, self.fewk, self._next_sub_id)
         self.last_unique = len(uniq)
         self._next_sub_id += 1
         self._reset()
         return summary
-
-    @staticmethod
-    def _tail_prefix(uniq_asc: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-        """Top-``k`` values (with multiplicity) of the frequency state,
-        descending — expanded from the largest unique values down."""
-        out = np.empty(min(k, int(counts.sum())), dtype=np.float64)
-        filled = 0
-        for i in range(len(uniq_asc) - 1, -1, -1):
-            take = min(int(counts[i]), len(out) - filled)
-            out[filled : filled + take] = uniq_asc[i]
-            filled += take
-            if filled == len(out):
-                break
-        return out

@@ -9,8 +9,9 @@ paper's three metrics against the exact sliding reference:
 
 plus single-thread throughput in million events/second. When a
 SparkSession is passed, QLOVE's estimates are additionally produced by the
-distributed DataFrame pipeline and asserted identical to the kernel's —
-the error tables then report numbers that hold for both execution layers.
+distributed DataFrame pipeline and asserted equal to the kernel's to 1e-9
+relative — the error tables then report numbers that hold for both
+execution layers.
 """
 from __future__ import annotations
 

@@ -16,7 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.quantile import exact_quantiles_freq
+from repro.core.fewk import FewKConfig
+from repro.core.subwindow import summarize
 from repro.sparklayer.events import with_quantized_value, with_sub_id
 from repro.streams.windows import WindowSpec
 
@@ -56,11 +57,11 @@ def exact_window_quantiles(
                     "estimates": pd.Series([], dtype="object"),
                 }
             )
+        # A whole window's exact quantiles are its summary as one sub-window.
         order = np.argsort(values)
-        q = exact_quantiles_freq(values[order], freqs[order], phis)
-        return pd.DataFrame(
-            {"w": [int(pdf["w"].iloc[0])], "estimates": [q.tolist()]}
-        )
+        w = int(pdf["w"].iloc[0])
+        q = summarize(values[order], freqs[order], phis, FewKConfig(), w).quantiles
+        return pd.DataFrame({"w": [w], "estimates": [q.tolist()]})
 
     return state.groupBy("w").applyInPandas(
         per_window, "w BIGINT, estimates ARRAY<DOUBLE>"

@@ -6,10 +6,12 @@ Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
 computed per sub-window with ``applyInPandas`` over that state — one tiny
 pandas group per sub-window, embarrassingly parallel across sub-windows.
 
-The per-group computation reuses the kernel's ``exact_quantiles_freq`` /
-``interval_sample`` so the Spark pipeline is bit-identical to the
-:class:`repro.core.qlove.QloveOperator` results (tested in
-``tests/test_spark_level1.py``).
+The group function calls the kernel's
+:func:`repro.core.subwindow.summarize`, so every summary is bit-identical
+to the one :class:`repro.core.subwindow.SubWindowBuilder` emits for the
+same sub-window (tested in ``tests/test_spark_level1.py``). This module
+alone knows the row format of :data:`SUMMARY_SCHEMA`:
+:func:`row_to_summary` decodes what the group function encodes.
 """
 from __future__ import annotations
 
@@ -27,11 +29,12 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.fewk import FewKConfig, interval_sample
-from repro.core.quantile import exact_quantiles_freq
+from repro.core.fewk import FewKConfig
+from repro.core.subwindow import summarize
+from repro.core.summary import SubWindowSummary
 from repro.sparklayer.events import with_quantized_value, with_sub_id
 
-__all__ = ["freq_state", "subwindow_summaries", "SUMMARY_SCHEMA"]
+__all__ = ["freq_state", "subwindow_summaries", "row_to_summary", "SUMMARY_SCHEMA"]
 
 SUMMARY_SCHEMA = StructType(
     [
@@ -43,6 +46,40 @@ SUMMARY_SCHEMA = StructType(
         StructField("sample_k", ArrayType(ArrayType(DoubleType(), False), False), False),
     ]
 )
+
+
+def _summary_to_row(s: SubWindowSummary, fewk: FewKConfig) -> dict:
+    """Encode a kernel summary as one :data:`SUMMARY_SCHEMA` row."""
+
+    def caches(per_phi: dict[float, np.ndarray]) -> list[list[float]]:
+        return [per_phi[b.phi].tolist() if b.phi in per_phi else [] for b in fewk.budgets]
+
+    return {
+        "sub_id": s.sub_id,
+        "count": s.count,
+        "quantiles": s.quantiles.tolist(),
+        "top_k": caches(s.top_k),
+        "sample_k": caches(s.sample_k),
+    }
+
+
+def row_to_summary(row, fewk: FewKConfig) -> SubWindowSummary:
+    """Decode one :data:`SUMMARY_SCHEMA` row into a kernel summary."""
+
+    def caches(lists) -> dict[float, np.ndarray]:
+        return {
+            b.phi: np.asarray(vals, dtype=np.float64)
+            for b, vals in zip(fewk.budgets, lists)
+            if len(vals)
+        }
+
+    return SubWindowSummary(
+        sub_id=int(row["sub_id"]),
+        count=int(row["count"]),
+        quantiles=np.asarray(row["quantiles"], dtype=np.float64),
+        top_k=caches(row["top_k"]),
+        sample_k=caches(row["sample_k"]),
+    )
 
 
 def freq_state(events: DataFrame, period: int, *, sig_digits: int | None = None) -> DataFrame:
@@ -58,19 +95,6 @@ def freq_state(events: DataFrame, period: int, *, sig_digits: int | None = None)
         .groupBy("sub_id", "value")
         .agg(F.count(F.lit(1)).alias("freq"))
     )
-
-
-def _tail_prefix(uniq_desc: np.ndarray, counts_desc: np.ndarray, k: int) -> np.ndarray:
-    """Top-k values (with multiplicity) from a descending freq state."""
-    out = np.empty(min(k, int(counts_desc.sum())), dtype=np.float64)
-    filled = 0
-    for v, c in zip(uniq_desc, counts_desc):
-        take = min(int(c), len(out) - filled)
-        out[filled : filled + take] = v
-        filled += take
-        if filled == len(out):
-            break
-    return out
 
 
 def subwindow_summaries(
@@ -91,33 +115,11 @@ def subwindow_summaries(
     cfg = fewk or FewKConfig()
     state = freq_state(events, period, sig_digits=sig_digits)
 
-    def summarize(pdf: pd.DataFrame) -> pd.DataFrame:
+    def group_summary(pdf: pd.DataFrame) -> pd.DataFrame:
         values = pdf["value"].to_numpy(dtype=np.float64)
         freqs = pdf["freq"].to_numpy(dtype=np.int64)
         order = np.argsort(values)
-        values, freqs = values[order], freqs[order]
-        quantiles = exact_quantiles_freq(values, freqs, phis)
-        tail_need = cfg.max_tail
-        top_k: list[list[float]] = []
-        sample_k: list[list[float]] = []
-        if tail_need > 0:
-            ranked = _tail_prefix(values[::-1], freqs[::-1], tail_need)
-            for b in cfg.budgets:
-                top_k.append(ranked[: b.k_t].tolist() if b.k_t > 0 else [])
-                sample_k.append(
-                    interval_sample(ranked, b.k_s, b.big_k).tolist() if b.k_s > 0 else []
-                )
-        else:
-            top_k = [[] for _ in cfg.budgets]
-            sample_k = [[] for _ in cfg.budgets]
-        return pd.DataFrame(
-            {
-                "sub_id": [int(pdf["sub_id"].iloc[0])],
-                "count": [int(freqs.sum())],
-                "quantiles": [quantiles.tolist()],
-                "top_k": [top_k],
-                "sample_k": [sample_k],
-            }
-        )
+        s = summarize(values[order], freqs[order], phis, cfg, int(pdf["sub_id"].iloc[0]))
+        return pd.DataFrame([_summary_to_row(s, cfg)])
 
-    return state.groupBy("sub_id").applyInPandas(summarize, SUMMARY_SCHEMA)
+    return state.groupBy("sub_id").applyInPandas(group_summary, SUMMARY_SCHEMA)

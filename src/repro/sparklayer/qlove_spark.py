@@ -7,64 +7,34 @@ remains per window is tiny (``n`` summaries of ``l + k`` floats), so:
   - without few-k merging, Level 2 stays in Spark SQL
     (:func:`repro.sparklayer.level2.sliding_mean_estimates`);
   - with few-k merging, the collected summaries (a few KB) are merged on
-    the driver with the *same* kernel code the incremental operator uses
-    (burst detection is inherently sequential over sub-window order — the
-    paper's Level 2 is likewise a "static cost" serial stage).
+    the driver with the *same* kernel code the incremental operator uses:
+    :func:`repro.core.burst.flag_bursts` (burst detection is inherently
+    sequential over sub-window order — the paper's Level 2 is likewise a
+    "static cost" serial stage) and :func:`repro.core.qlove.window_result`.
 
-Results are bit-identical to :class:`repro.core.qlove.QloveOperator`
-(tested in ``tests/test_spark_qlove.py``).
+The sub-window summaries are bit-identical to the kernel's (one function,
+:func:`repro.core.subwindow.summarize`, computes both). Window estimates
+agree with :class:`repro.core.qlove.QloveOperator` to ``rtol=1e-12``, not
+bit for bit: the kernel keeps the Level-2 mean as a running sum, while here
+it is summed afresh per window, in another order (tested in
+``tests/test_spark_qlove.py``).
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.burst import BurstDetector
+from repro.core.burst import flag_bursts
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import window_result
-from repro.core.summary import SubWindowSummary
-from repro.sparklayer.level1 import subwindow_summaries
+from repro.sparklayer.level1 import row_to_summary, subwindow_summaries
 from repro.sparklayer.level2 import sliding_mean_estimates
 from repro.streams.windows import WindowSpec
 
-__all__ = ["qlove_estimates", "rows_to_summaries"]
-
-
-def rows_to_summaries(
-    rows: "list", fewk: FewKConfig, *, burst_alpha: float = 0.01
-) -> list[SubWindowSummary]:
-    """Rebuild kernel summaries from collected Level-1 rows (sorted by
-    sub_id) and run the sequential burst detector over them."""
-    budget_phis = [b.phi for b in fewk.budgets]
-    burst_phi = max((b.phi for b in fewk.budgets if b.k_s > 0), default=None)
-    detector = BurstDetector(alpha=burst_alpha)
-    out: list[SubWindowSummary] = []
-    for row in sorted(rows, key=lambda r: r.sub_id):
-        top_k = {
-            phi: np.asarray(row.top_k[i], dtype=np.float64)
-            for i, phi in enumerate(budget_phis)
-            if len(row.top_k[i])
-        }
-        sample_k = {
-            phi: np.asarray(row.sample_k[i], dtype=np.float64)
-            for i, phi in enumerate(budget_phis)
-            if len(row.sample_k[i])
-        }
-        s = SubWindowSummary(
-            sub_id=int(row.sub_id),
-            count=int(row["count"]),
-            quantiles=np.asarray(row.quantiles, dtype=np.float64),
-            top_k=top_k,
-            sample_k=sample_k,
-        )
-        if burst_phi is not None:
-            s.bursty = detector.observe(s.sample_k.get(burst_phi, np.empty(0)))
-        out.append(s)
-    return out
+__all__ = ["qlove_estimates"]
 
 
 def qlove_estimates(
@@ -94,8 +64,9 @@ def qlove_estimates(
         return sliding_mean_estimates(summaries, spec.n_subwindows)
 
     # Few-k path: driver-side merge over the (tiny) collected summaries.
-    rows = summaries.collect()
-    kernel_summaries = rows_to_summaries(rows, cfg, burst_alpha=burst_alpha)
+    kernel_summaries = flag_bursts(
+        (row_to_summary(row, cfg) for row in summaries.collect()), cfg, burst_alpha
+    )
     n = spec.n_subwindows
     records = []
     for i in range(n - 1, len(kernel_summaries)):

@@ -12,12 +12,16 @@ and emits one output row per *completed window* with the QLOVE estimates.
 The handler is order-insensitive at sub-window granularity (summaries are
 keyed by ``sub_id`` and a window is emitted once all of its member
 summaries exist), so out-of-order micro-batch delivery — which the file
-source does not forbid — cannot corrupt results. Burst flags are derived
-at emission time from the stored adjacent sub-window samples, exactly as
-the sequential kernel detector does.
+source does not forbid — cannot corrupt results. Completed sub-windows
+are summarized by :func:`repro.core.subwindow.summarize` and kept as
+:class:`~repro.core.summary.SubWindowSummary` objects. Burst flags are
+derived at emission time: :func:`repro.core.burst.flag_bursts` runs over
+sub-windows ``w-n .. w`` (``w-n`` only primes the detector), and window
+``w`` waits for ``w-n`` too, so its flags are the sequential kernel
+detector's whatever order the sub-windows arrived in.
 
 State is held as one pickled binary column: the state is an arbitrary
-nested dict (freq maps, numpy arrays) and serializing it wholesale keeps
+nested dict (freq maps, summary objects) and serializing it wholesale keeps
 the stateful contract in one place. Expired entries (sub-windows older
 than any window that can still complete, and already-emitted window ids)
 are pruned every call, so state size stays ``O(n)`` summaries like the
@@ -34,12 +38,11 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import BinaryType, StructField, StructType
 
-from repro.core.burst import mann_whitney_u
-from repro.core.fewk import FewKConfig, interval_sample
+from repro.core.burst import flag_bursts
+from repro.core.compression import quantize_sig
+from repro.core.fewk import FewKConfig
 from repro.core.qlove import window_result
-from repro.core.quantile import exact_quantiles_freq
-from repro.core.summary import SubWindowSummary
-from repro.sparklayer.level1 import _tail_prefix
+from repro.core.subwindow import summarize
 from repro.streams.windows import WindowSpec
 
 __all__ = ["qlove_streaming", "OUTPUT_SCHEMA", "STATE_SCHEMA"]
@@ -50,63 +53,23 @@ OUTPUT_SCHEMA = (
 STATE_SCHEMA = StructType([StructField("blob", BinaryType(), True)])
 
 
-def _finalize_subwindow(
-    freq: "dict[float, int]", phis: tuple, cfg: FewKConfig
-) -> dict[str, Any]:
-    """Freq state -> stored summary dict (quantiles + per-phi tail caches)."""
-    uniq = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
-    counts = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
-    order = np.argsort(uniq)
-    uniq, counts = uniq[order], counts[order]
-    summary: dict[str, Any] = {
-        "count": int(counts.sum()),
-        "quantiles": exact_quantiles_freq(uniq, counts, phis),
-        "top_k": {},
-        "sample_k": {},
-    }
-    if cfg.max_tail > 0:
-        ranked = _tail_prefix(uniq[::-1], counts[::-1], cfg.max_tail)
-        for b in cfg.budgets:
-            if b.k_t > 0:
-                summary["top_k"][b.phi] = ranked[: b.k_t].copy()
-            if b.k_s > 0:
-                summary["sample_k"][b.phi] = interval_sample(ranked, b.k_s, b.big_k)
-    return summary
-
-
 def _emit_ready_windows(
     st: dict[str, Any], spec: WindowSpec, phis: tuple, cfg: FewKConfig, burst_alpha: float
 ) -> list[tuple[int, list[float]]]:
     """Emit every complete, not-yet-emitted window; prune expired state."""
     n = spec.n_subwindows
-    burst_phi = max((b.phi for b in cfg.budgets if b.k_s > 0), default=None)
+    # With a burst test a window also waits for sub-window w-n: it primes
+    # the detector that flags w-n+1.
+    lookback = n if cfg.burst_phi is not None else n - 1
     summaries = st["summaries"]
     results = []
     for w in sorted(summaries):
         if w < max(st["frontier"], n - 1) or w in st["emitted"]:
             continue
-        member_ids = range(w - n + 1, w + 1)
+        member_ids = range(max(w - lookback, 0), w + 1)
         if not all(s in summaries for s in member_ids):
             continue
-        window = []
-        for s_id in member_ids:
-            s = summaries[s_id]
-            bursty = False
-            if burst_phi is not None and s_id - 1 in summaries:
-                prev = summaries[s_id - 1]["sample_k"].get(burst_phi)
-                cur = s["sample_k"].get(burst_phi)
-                if prev is not None and cur is not None:
-                    bursty = mann_whitney_u(cur, prev, alpha=burst_alpha).greater
-            window.append(
-                SubWindowSummary(
-                    sub_id=s_id,
-                    count=s["count"],
-                    quantiles=s["quantiles"],
-                    top_k=s["top_k"],
-                    sample_k=s["sample_k"],
-                    bursty=bursty,
-                )
-            )
+        window = flag_bursts([summaries[s] for s in member_ids], cfg, burst_alpha)[-n:]
         res = window_result(window, phis, cfg)
         results.append((w, [res[p] for p in phis]))
         st["emitted"].add(w)
@@ -152,8 +115,6 @@ def make_handler(
             seq = pdf["seq"].to_numpy(dtype=np.int64)
             values = pdf["value"].to_numpy(dtype=np.float64)
             if sig_digits is not None:
-                from repro.core.compression import quantize_sig
-
                 values = quantize_sig(values, sig_digits)
             sub_ids = seq // spec.period
             for s_id in np.unique(sub_ids):
@@ -164,10 +125,13 @@ def make_handler(
                     entry["freq"][v] = entry["freq"].get(v, 0) + c
                 entry["count"] += len(chunk)
                 if entry["count"] == spec.period:
-                    st["summaries"][int(s_id)] = _finalize_subwindow(
-                        entry["freq"], phis, cfg
+                    freq = st["inflight"].pop(int(s_id))["freq"]
+                    vals = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
+                    freqs = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
+                    order = np.argsort(vals)
+                    st["summaries"][int(s_id)] = summarize(
+                        vals[order], freqs[order], phis, cfg, int(s_id)
                     )
-                    del st["inflight"][int(s_id)]
         results = _emit_ready_windows(st, spec, phis, cfg, burst_alpha)
         state.update((pickle.dumps(st),))
         if results:

@@ -181,6 +181,32 @@ class TestHandlerUnit:
         for i, res in enumerate(kernel):
             np.testing.assert_allclose(got[3 + i], [res[p] for p in PHIS], rtol=1e-12)
 
+    def test_fewk_out_of_order_matches_kernel(self):
+        # Bursts sit in sub-windows 0, 4 and 8. Sub-windows 4..7 (one split
+        # across batches) arrive before 3, whose samples flag burst 4.
+        stream = inject_burst(
+            netmon(6_000, seed=9), window_size=SPEC.size, period=SPEC.period, phi=0.99
+        )
+        cfg = FewKConfig.from_fraction(
+            window_size=SPEC.size,
+            period=SPEC.period,
+            phis=[0.99],
+            top_fraction=0.25,
+            sample_fraction=0.5,
+        )
+        handler = make_handler(SPEC, PHIS, fewk=cfg)
+        state = self._FakeState()
+        order = [(0, 1500), (2250, 3000), (3500, 4000), (2000, 2250), (3000, 3500),
+                 (1500, 2000), (4500, 6000), (4000, 4500)]
+        outs = []
+        for lo, hi in order:
+            outs.extend(self._feed(handler, state, stream, lo, hi))
+        got = {int(w): est for o in outs for w, est in zip(o["w"], o["estimates"])}
+        kernel = QloveOperator(SPEC, PHIS, fewk=cfg).observe_chunk(stream)
+        assert sorted(got) == list(range(3, 3 + len(kernel)))
+        for i, res in enumerate(kernel):
+            np.testing.assert_allclose(got[3 + i], [res[p] for p in PHIS], rtol=1e-12)
+
     def test_state_pruned(self):
         import pickle
 

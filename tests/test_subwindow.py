@@ -120,6 +120,22 @@ class TestTailCaches:
         s = b.finalize()
         np.testing.assert_array_equal(s.sample_k[0.99], [50.0, 30.0, 10.0])
 
+    @pytest.mark.parametrize(
+        "values, k",
+        [
+            ([2.0, 1.0, 3.0], 10),  # max_tail larger than the sub-window
+            ([9.0, 7.0, 1.0, 7.0, 7.0], 3),  # the 7s straddle the k boundary
+            ([4.0] * 6, 3),  # a single unique value
+        ],
+    )
+    def test_tail_prefix_edge_cases(self, values, k):
+        b = _builder((0.99,), fewk=self._fewk(k_t=k, k_s=k, big_k=k))
+        b.accumulate_chunk(np.array(values))
+        s = b.finalize()
+        expected = np.sort(values)[::-1][:k]
+        np.testing.assert_array_equal(s.top_k[0.99], expected)
+        np.testing.assert_array_equal(s.sample_k[0.99], expected)  # alpha = 1
+
     def test_no_fewk_no_caches(self):
         b = _builder((0.5,))
         b.accumulate_chunk(np.arange(20, dtype=np.float64))
