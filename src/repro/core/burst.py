@@ -13,14 +13,10 @@ form of the test, adequate for the sample sizes few-k produces (>= ~8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from repro.core.fewk import FewKConfig
-from repro.core.summary import SubWindowSummary
-
-__all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult", "flag_bursts"]
+__all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult"]
 
 # Normal-approximation one-sided critical values for common alphas.
 _Z = {0.10: 1.2816, 0.05: 1.6449, 0.025: 1.9600, 0.01: 2.3263, 0.005: 2.5758}
@@ -98,22 +94,3 @@ class BurstDetector:
         if prev is None or len(prev) == 0 or len(samples) == 0:
             return False
         return mann_whitney_u(samples, prev, alpha=self.alpha).greater
-
-
-def flag_bursts(
-    summaries: Iterable[SubWindowSummary], fewk: FewKConfig, alpha: float
-) -> list[SubWindowSummary]:
-    """Run one :class:`BurstDetector` over ``summaries`` in ``sub_id`` order.
-
-    Sets each summary's ``bursty`` flag from the samples of
-    ``fewk.burst_phi`` and returns the summaries in ``sub_id`` order. The
-    first summary only primes the detector, so its flag is always False;
-    without a sampled budget every flag stays as it was.
-    """
-    ordered = sorted(summaries, key=lambda s: s.sub_id)
-    phi = fewk.burst_phi
-    if phi is not None:
-        detector = BurstDetector(alpha=alpha)
-        for s in ordered:
-            s.bursty = detector.observe(s.sample_k.get(phi, np.empty(0)))
-    return ordered

@@ -8,14 +8,19 @@ with period ``P`` (Figure 2):
     and, at each period boundary, emits a tiny
     :class:`~repro.core.summary.SubWindowSummary` (exact sub-window
     quantiles + optional few-k tail caches). No per-element deaccumulation.
-  - **Level 2** (sliding): keeps the last ``n = N/P`` summaries and
-    incrementally maintains per-phi running sums, so each slide
-    deaccumulates *one summary* (two adds + a division per quantile, the
-    paper's "static cost").
+  - **Level 2** (sliding): :class:`SlidingMerge` keeps the last ``n = N/P``
+    summaries and incrementally maintains per-phi running sums, so each
+    slide deaccumulates *one summary* (two adds + a division per quantile,
+    the paper's "static cost"), and runs the burst test on the newcomer.
 
 Few-k merging (Section 4) overrides the Level-2 mean per quantile: sample-k
 when a burst was detected inside the window, else top-k when the quantile is
 statistically inefficient at this period (``P*(1-phi) < T_s``).
+
+:class:`SlidingMerge` is the one Level 2 of the kernel, the Spark few-k
+driver merge and the streaming handler: each feeds it the same summaries in
+``sub_id`` order, so their window estimates are bit-identical. Only the
+plain (no few-k) Spark path sums in SQL and agrees to ``rtol=1e-12``.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from repro.core.subwindow import SubWindowBuilder
 from repro.core.summary import SubWindowSummary
 from repro.streams.windows import WindowSpec
 
-__all__ = ["QloveOperator", "window_result"]
+__all__ = ["QloveOperator", "SlidingMerge", "window_result"]
 
 
 def window_result(
@@ -43,11 +48,10 @@ def window_result(
     """Level-2 ComputeResult + few-k outcome selection (Section 4.3) for one
     window's worth of summaries.
 
-    Shared by the incremental operator (which passes its running-sum
-    ``means``) and the Spark pipeline's driver-side merge (which lets the
-    means be recomputed from the summaries). Per quantile: sample-k result
-    if any member sub-window was flagged bursty, else top-k when enabled
-    (statistical inefficiency), else the plain Level-2 mean.
+    :class:`SlidingMerge` passes its running-sum ``means``; without them
+    the means are recomputed from the summaries. Per quantile: sample-k
+    result if any member sub-window was flagged bursty, else top-k when
+    enabled (statistical inefficiency), else the plain Level-2 mean.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
@@ -66,14 +70,70 @@ def window_result(
     return result
 
 
+class SlidingMerge:
+    """Level 2 (sliding) of Figure 2: merges sub-window summaries into
+    window estimates, one slide per summary.
+
+    Holds the last ``n`` summaries, their per-phi running sums, their
+    stored-variable count and the burst detector. Summaries must arrive in
+    ``sub_id`` order starting at 0; ``next_sub_id`` is the one expected.
+    """
+
+    def __init__(
+        self,
+        spec: WindowSpec,
+        phis: Sequence[float],
+        fewk: FewKConfig,
+        burst_alpha: float = 0.01,
+    ):
+        self.n = spec.n_subwindows
+        self.phis = tuple(phis)
+        self.fewk = fewk
+        self.summaries: deque[SubWindowSummary] = deque(maxlen=self.n)
+        # One running sum per phi (the paper's l instances of the average
+        # operator's {sum, count}).
+        self.sums = np.zeros(len(self.phis), dtype=np.float64)
+        # Stored-variable count of the retained summaries, updated on
+        # append/expire so the kernel's space_observed() is O(1): the runner
+        # polls it per evaluation, and an O(n) walk would distort throughput
+        # at large windows (n = 1000 sub-windows at a 1M/1K query).
+        self.space = 0
+        self.next_sub_id = 0
+        self._burst_phi = fewk.burst_phi
+        self._detector = BurstDetector(alpha=burst_alpha)
+
+    def push(self, summary: SubWindowSummary) -> dict[float, float] | None:
+        """Slide by one sub-window; returns ``{phi: estimate}`` for the
+        window ending at ``summary`` once ``n`` summaries are in, else None."""
+        if summary.sub_id != self.next_sub_id:
+            raise ValueError(
+                f"expected sub-window {self.next_sub_id}, got {summary.sub_id}"
+            )
+        self.next_sub_id += 1
+        if self._burst_phi is not None:
+            summary.bursty = self._detector.observe(
+                summary.sample_k.get(self._burst_phi, np.empty(0))
+            )
+        if len(self.summaries) == self.n:
+            expired = self.summaries[0]
+            self.sums -= expired.quantiles  # Level-2 Deaccumulate
+            self.space -= expired.space()
+        self.summaries.append(summary)
+        self.sums += summary.quantiles  # Level-2 Accumulate
+        self.space += summary.space()
+        if len(self.summaries) < self.n:
+            return None  # window not yet full
+        return window_result(
+            list(self.summaries), self.phis, self.fewk, means=self.sums / self.n
+        )
+
+
 class QloveOperator:
     """QLOVE sliding-window quantile estimator.
 
-    Drive it either per element (:meth:`observe`) or per sub-window chunk
-    (:meth:`observe_chunk`); both paths cross the same period boundaries and
-    produce identical results. A completed evaluation (window full) is
-    returned as ``{phi: estimate}`` from the call that crossed the boundary,
-    else ``None``.
+    Drive it per chunk of any length (:meth:`observe_chunk`): a
+    :class:`SubWindowBuilder` summarizes each completed sub-window and a
+    :class:`SlidingMerge` turns the summaries into window estimates.
     """
 
     name = "QLOVE"
@@ -94,25 +154,9 @@ class QloveOperator:
         self._builder = SubWindowBuilder(
             self.phis, sig_digits=sig_digits, fewk=self.fewk, l1_mode=l1_mode
         )
-        self._summaries: deque[SubWindowSummary] = deque(maxlen=spec.n_subwindows)
-        # Level-2 incremental state: one running sum per phi (the paper's l
-        # instances of the average operator's {sum, count}).
-        self._sums = np.zeros(len(self.phis), dtype=np.float64)
-        # Running stored-variable count of the retained summaries, updated
-        # on append/expire so space_observed() is O(1) — the runner polls
-        # it per evaluation, and an O(n) walk would distort throughput at
-        # large windows (n = 1000 sub-windows at a 1M/1K query).
-        self._summary_space = 0
-        self._detector = BurstDetector(alpha=burst_alpha)
+        self._merge = SlidingMerge(spec, self.phis, self.fewk, burst_alpha)
 
     # ------------------------------------------------------------------ #
-    def observe(self, value: float) -> dict[float, float] | None:
-        """Accumulate one element; returns estimates at period boundaries."""
-        self._builder.accumulate(value)
-        if self._builder.in_flight_count == self.spec.period:
-            return self._complete_subwindow()
-        return None
-
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
         """Accumulate a batch (any length); returns estimates for every
         period boundary the batch crossed."""
@@ -125,35 +169,10 @@ class QloveOperator:
             self._builder.accumulate_chunk(values[pos : pos + take])
             pos += take
             if self._builder.in_flight_count == self.spec.period:
-                res = self._complete_subwindow()
+                res = self._merge.push(self._builder.finalize())
                 if res is not None:
                     out.append(res)
         return out
-
-    # ------------------------------------------------------------------ #
-    def _complete_subwindow(self) -> dict[float, float] | None:
-        summary = self._builder.finalize()
-        burst_phi = self.fewk.burst_phi
-        if burst_phi is not None:
-            summary.bursty = self._detector.observe(summary.sample_k[burst_phi])
-        if len(self._summaries) == self._summaries.maxlen:
-            expired = self._summaries[0]
-            self._sums -= expired.quantiles  # Level-2 Deaccumulate
-            self._summary_space -= expired.space()
-        self._summaries.append(summary)
-        self._sums += summary.quantiles  # Level-2 Accumulate
-        self._summary_space += summary.space()
-        if len(self._summaries) < self.spec.n_subwindows:
-            return None  # window not yet full
-        return self._compute_result()
-
-    def _compute_result(self) -> dict[float, float]:
-        """Level-2 ComputeResult via the shared selection logic, with the
-        means taken from the incremental running sums."""
-        means = self._sums / self.spec.n_subwindows
-        return window_result(
-            list(self._summaries), self.phis, self.fewk, means=means
-        )
 
     # ------------------------------------------------------------------ #
     def space_observed(self) -> int:
@@ -167,7 +186,7 @@ class QloveOperator:
             if self._builder.in_flight_count == 0
             else self._builder.in_flight_unique
         )
-        return self._summary_space + inflight
+        return self._merge.space + inflight
 
     def space_analytical(self) -> int:
         """The paper's analytical bound ``l*(N/P) + O(P)`` (Section 3.2),

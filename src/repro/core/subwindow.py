@@ -12,9 +12,8 @@ bit-identical on the same input.
 paper keeps the state in a red-black tree to stay sorted under per-element
 inserts; in Python a hash map plus one sort at ``ComputeResult`` has the
 same per-unique-value asymptotics (O(u log u) per sub-window vs O(P log u)
-amortized) and the identical output, so that is what we use. A vectorized
-``accumulate_chunk`` (np.unique) serves the high-throughput path; both paths
-produce bit-identical states.
+amortized) and the identical output, so that is what we use. Values arrive
+in chunks (:meth:`SubWindowBuilder.accumulate_chunk`).
 """
 from __future__ import annotations
 
@@ -116,16 +115,9 @@ class SubWindowBuilder:
         self._count = 0
 
     # -- Accumulate -------------------------------------------------------
-    def accumulate(self, value: float) -> None:
-        """Per-element Accumulate of Algorithm 1 (with optional quantization)."""
-        if self.sig_digits is not None:
-            value = float(quantize_sig(np.array([value]), self.sig_digits)[0])
-        self._freq[value] = self._freq.get(value, 0) + 1
-        self._count += 1
-
     def accumulate_chunk(self, values: np.ndarray) -> None:
-        """Vectorized Accumulate over a batch of values (same final state
-        as the per-element path)."""
+        """Accumulate of Algorithm 1 over a batch of values (with optional
+        quantization)."""
         values = np.asarray(values, dtype=np.float64)
         if self.sig_digits is not None:
             values = quantize_sig(values, self.sig_digits)

@@ -6,18 +6,18 @@ remains per window is tiny (``n`` summaries of ``l + k`` floats), so:
 
   - without few-k merging, Level 2 stays in Spark SQL
     (:func:`repro.sparklayer.level2.sliding_mean_estimates`);
-  - with few-k merging, the collected summaries (a few KB) are merged on
-    the driver with the *same* kernel code the incremental operator uses:
-    :func:`repro.core.burst.flag_bursts` (burst detection is inherently
+  - with few-k merging, the collected summaries (a few KB) are pushed in
+    ``sub_id`` order through the kernel's own Level 2,
+    :class:`repro.core.qlove.SlidingMerge` (burst detection is inherently
     sequential over sub-window order — the paper's Level 2 is likewise a
-    "static cost" serial stage) and :func:`repro.core.qlove.window_result`.
+    "static cost" serial stage).
 
 The sub-window summaries are bit-identical to the kernel's (one function,
-:func:`repro.core.subwindow.summarize`, computes both). Window estimates
-agree with :class:`repro.core.qlove.QloveOperator` to ``rtol=1e-12``, not
-bit for bit: the kernel keeps the Level-2 mean as a running sum, while here
-it is summed afresh per window, in another order (tested in
-``tests/test_spark_qlove.py``).
+:func:`repro.core.subwindow.summarize`, computes both), and so are the
+few-k window estimates (one Level 2 merges both). The plain SQL path agrees
+with :class:`repro.core.qlove.QloveOperator` to ``rtol=1e-12``, not bit for
+bit: SQL ``avg`` sums each window afresh, while the kernel keeps running
+sums (tested in ``tests/test_spark_qlove.py``).
 """
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.burst import flag_bursts
 from repro.core.fewk import FewKConfig
-from repro.core.qlove import window_result
+from repro.core.qlove import SlidingMerge
 from repro.sparklayer.level1 import row_to_summary, subwindow_summaries
 from repro.sparklayer.level2 import sliding_mean_estimates
 from repro.streams.windows import WindowSpec
@@ -64,16 +63,12 @@ def qlove_estimates(
         return sliding_mean_estimates(summaries, spec.n_subwindows)
 
     # Few-k path: driver-side merge over the (tiny) collected summaries.
-    kernel_summaries = flag_bursts(
-        (row_to_summary(row, cfg) for row in summaries.collect()), cfg, burst_alpha
-    )
-    n = spec.n_subwindows
+    merge = SlidingMerge(spec, phis, cfg, burst_alpha)
     records = []
-    for i in range(n - 1, len(kernel_summaries)):
-        window = kernel_summaries[i - n + 1 : i + 1]
-        if [s.sub_id for s in window] != list(range(i - n + 1, i + 1)):
-            raise RuntimeError("non-contiguous sub-window ids in summaries")
-        res = window_result(window, phis, cfg)
-        records.append((i, [res[p] for p in phis]))
+    for row in sorted(summaries.collect(), key=lambda r: r["sub_id"]):
+        summary = row_to_summary(row, cfg)
+        res = merge.push(summary)
+        if res is not None:
+            records.append((summary.sub_id, [res[p] for p in phis]))
     pdf = pd.DataFrame(records, columns=["w", "estimates"])
     return spark.createDataFrame(pdf, schema="w BIGINT, estimates ARRAY<DOUBLE>")

@@ -5,32 +5,35 @@ Structured Streaming stateful aggregation": events arrive as a stream of
 ``(stream_id, seq, value)`` micro-batches; per ``stream_id`` group,
 ``applyInPandasWithState`` maintains QLOVE's state —
 
-  - the in-flight sub-windows' frequency-compressed Level-1 states, and
-  - the completed sub-windows' tiny summaries (quantiles + few-k caches) —
+  - ``inflight``: the in-flight sub-windows' frequency-compressed Level-1
+    states, keyed by ``sub_id``;
+  - ``summaries``: completed sub-windows summarized by
+    :func:`repro.core.subwindow.summarize` but not yet merged, because an
+    earlier sub-window is still in flight;
+  - ``merge``: the kernel's Level 2, :class:`repro.core.qlove.SlidingMerge`
+    (the last ``n`` summaries, running sums, burst detector) —
 
 and emits one output row per *completed window* with the QLOVE estimates.
-The handler is order-insensitive at sub-window granularity (summaries are
-keyed by ``sub_id`` and a window is emitted once all of its member
-summaries exist), so out-of-order micro-batch delivery — which the file
-source does not forbid — cannot corrupt results. Completed sub-windows
-are summarized by :func:`repro.core.subwindow.summarize` and kept as
-:class:`~repro.core.summary.SubWindowSummary` objects. Burst flags are
-derived at emission time: :func:`repro.core.burst.flag_bursts` runs over
-sub-windows ``w-n .. w`` (``w-n`` only primes the detector), and window
-``w`` waits for ``w-n`` too, so its flags are the sequential kernel
-detector's whatever order the sub-windows arrived in.
+After each micro-batch the handler pushes parked summaries into ``merge``
+while the next expected ``sub_id`` is among them, so the merge sees the
+summaries in ``sub_id`` order whatever order the micro-batches delivered
+them in (the file source does not forbid out-of-order delivery). Window
+estimates, burst flags included, are therefore bit-identical to the
+kernel's. Windows are emitted in ``w`` order: window ``w`` is emitted once
+every sub-window up to ``w`` has completed, not as soon as its own members
+have. For a stream whose sub-windows all arrive, the emitted set of
+windows is the kernel's. A completed sub-window the merge has already
+passed (a replay) is dropped, not parked.
 
 State is held as one pickled binary column: the state is an arbitrary
 nested dict (freq maps, summary objects) and serializing it wholesale keeps
-the stateful contract in one place. Expired entries (sub-windows older
-than any window that can still complete, and already-emitted window ids)
-are pruned every call, so state size stays ``O(n)`` summaries like the
-kernel operator's deque.
+the stateful contract in one place. ``merge`` retains ``n`` summaries like
+the kernel operator, and ``summaries`` only those completed ahead of a gap.
 """
 from __future__ import annotations
 
 import pickle
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -38,10 +41,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import BinaryType, StructField, StructType
 
-from repro.core.burst import flag_bursts
 from repro.core.compression import quantize_sig
 from repro.core.fewk import FewKConfig
-from repro.core.qlove import window_result
+from repro.core.qlove import SlidingMerge
 from repro.core.subwindow import summarize
 from repro.streams.windows import WindowSpec
 
@@ -51,40 +53,6 @@ OUTPUT_SCHEMA = (
     "stream_id STRING, w BIGINT, estimates ARRAY<DOUBLE>"
 )
 STATE_SCHEMA = StructType([StructField("blob", BinaryType(), True)])
-
-
-def _emit_ready_windows(
-    st: dict[str, Any], spec: WindowSpec, phis: tuple, cfg: FewKConfig, burst_alpha: float
-) -> list[tuple[int, list[float]]]:
-    """Emit every complete, not-yet-emitted window; prune expired state."""
-    n = spec.n_subwindows
-    # With a burst test a window also waits for sub-window w-n: it primes
-    # the detector that flags w-n+1.
-    lookback = n if cfg.burst_phi is not None else n - 1
-    summaries = st["summaries"]
-    results = []
-    for w in sorted(summaries):
-        if w < max(st["frontier"], n - 1) or w in st["emitted"]:
-            continue
-        member_ids = range(max(w - lookback, 0), w + 1)
-        if not all(s in summaries for s in member_ids):
-            continue
-        window = flag_bursts([summaries[s] for s in member_ids], cfg, burst_alpha)[-n:]
-        res = window_result(window, phis, cfg)
-        results.append((w, [res[p] for p in phis]))
-        st["emitted"].add(w)
-    # Prune via the monotone frontier = smallest window id not yet emitted.
-    # Windows below the frontier can never be (re-)emitted — the emit loop
-    # skips them — so their emitted records are droppable, and a summary is
-    # dead once every window it serves (plus the burst-flag neighbour) is
-    # below the frontier, i.e. once sub_id < frontier - n.
-    while st["frontier"] in st["emitted"]:
-        st["emitted"].discard(st["frontier"])
-        st["frontier"] += 1
-    live_from = st["frontier"] - n
-    for s_id in [s for s in summaries if s < live_from]:
-        del summaries[s_id]
-    return results
 
 
 def make_handler(
@@ -106,11 +74,11 @@ def make_handler(
             st = pickle.loads(bytes(state.get[0]))
         else:
             st = {
-                "summaries": {},
                 "inflight": {},
-                "emitted": set(),
-                "frontier": spec.n_subwindows - 1,
+                "summaries": {},
+                "merge": SlidingMerge(spec, phis, cfg, burst_alpha),
             }
+        merge = st["merge"]
         for pdf in pdfs:
             seq = pdf["seq"].to_numpy(dtype=np.int64)
             values = pdf["value"].to_numpy(dtype=np.float64)
@@ -126,13 +94,20 @@ def make_handler(
                 entry["count"] += len(chunk)
                 if entry["count"] == spec.period:
                     freq = st["inflight"].pop(int(s_id))["freq"]
+                    if s_id < merge.next_sub_id:
+                        continue  # replayed sub-window, already merged
                     vals = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
                     freqs = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
                     order = np.argsort(vals)
                     st["summaries"][int(s_id)] = summarize(
                         vals[order], freqs[order], phis, cfg, int(s_id)
                     )
-        results = _emit_ready_windows(st, spec, phis, cfg, burst_alpha)
+        results = []
+        while merge.next_sub_id in st["summaries"]:
+            summary = st["summaries"].pop(merge.next_sub_id)
+            res = merge.push(summary)
+            if res is not None:
+                results.append((summary.sub_id, [res[p] for p in phis]))
         state.update((pickle.dumps(st),))
         if results:
             yield pd.DataFrame(

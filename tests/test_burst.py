@@ -2,10 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.burst import BurstDetector, flag_bursts, mann_whitney_u
-from repro.core.fewk import FewKConfig
-from repro.core.subwindow import SubWindowBuilder
-from repro.synth_data import inject_burst, netmon
+from repro.core.burst import BurstDetector, mann_whitney_u
 
 
 class TestMannWhitneyU:
@@ -92,22 +89,3 @@ class TestBurstDetector:
         assert d.observe(np.array([])) is False
         assert d.observe(np.arange(5.0)) is False
 
-
-class TestFlagBursts:
-    def test_matches_sequential_detector(self):
-        size, period, phi = 4_000, 500, 0.99
-        stream = inject_burst(netmon(12_000, seed=8), window_size=size, period=period, phi=phi)
-        cfg = FewKConfig.from_fraction(
-            window_size=size, period=period, phis=[0.9, phi], sample_fraction=0.5
-        )
-        builder = SubWindowBuilder((0.5, phi), fewk=cfg)
-        summaries = []
-        for lo in range(0, len(stream), period):
-            builder.accumulate_chunk(stream[lo : lo + period])
-            summaries.append(builder.finalize())
-        detector = BurstDetector(alpha=0.01)
-        expected = [detector.observe(s.sample_k[cfg.burst_phi]) for s in summaries]
-        flagged = flag_bursts(reversed(summaries), cfg, 0.01)
-        assert [s.sub_id for s in flagged] == list(range(len(summaries)))
-        assert [s.bursty for s in flagged] == expected
-        assert cfg.burst_phi == phi and any(expected)

@@ -43,20 +43,6 @@ class TestLevel2Mean:
         results = op.observe_chunk(np.arange(1000, dtype=np.float64))
         assert len(results) == spec.n_evaluations(1000)
 
-    def test_per_element_matches_chunk(self):
-        g = np.random.default_rng(1)
-        stream = np.rint(g.normal(0, 10, 600))
-        spec = WindowSpec(size=200, period=50)
-        op1 = QloveOperator(spec, PHIS)
-        op2 = QloveOperator(spec, PHIS)
-        r1 = []
-        for v in stream:
-            res = op1.observe(float(v))
-            if res is not None:
-                r1.append(res)
-        r2 = op2.observe_chunk(stream)
-        assert r1 == r2
-
     def test_misaligned_chunks_match(self):
         g = np.random.default_rng(2)
         stream = np.rint(g.normal(0, 10, 900))
@@ -243,6 +229,19 @@ class TestWindowResult:
         a = window_result(s, (0.5, 0.99), FewKConfig())
         b = window_result(s, (0.5, 0.99), FewKConfig(), means=means)
         assert a == b
+
+    def test_sliding_merge_takes_summaries_in_order(self):
+        from repro.core.fewk import FewKConfig
+        from repro.core.qlove import SlidingMerge
+
+        s = self._summaries()
+        merge = SlidingMerge(WindowSpec(size=200, period=100), (0.5, 0.99), FewKConfig())
+        assert merge.push(s[0]) is None
+        with pytest.raises(ValueError):
+            merge.push(s[2])  # sub-window 1 missing
+        with pytest.raises(ValueError):
+            merge.push(s[0])  # already merged
+        assert merge.push(s[1]) == {0.5: 10.5, 0.99: 100.5}
 
 
 class TestSpace:

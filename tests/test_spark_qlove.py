@@ -10,7 +10,7 @@ from repro.oracle import assert_equivalent
 from repro.sparklayer.exact_spark import exact_window_quantiles
 from repro.sparklayer.qlove_spark import qlove_estimates
 from repro.streams.windows import WindowSpec
-from repro.synth_data import inject_burst, netmon, telemetry_events
+from repro.synth_data import ar1, inject_burst, netmon, telemetry_events
 
 PHIS = (0.5, 0.9, 0.99, 0.999)
 SPEC = WindowSpec(size=4_000, period=1_000)
@@ -64,6 +64,24 @@ class TestQloveEstimates:
         assert len(rows) == len(kernel)
         for row, res in zip(rows, kernel):
             np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+
+    def test_fewk_ar1_bit_identical_to_kernel(self, spark):
+        # Float values show any other Level-2 summation order in the last bits.
+        stream = inject_burst(
+            ar1(24_000, psi=0.8, seed=5), window_size=SPEC.size, period=SPEC.period, phi=0.999
+        )
+        events = telemetry_events(spark, stream)
+        cfg = FewKConfig.from_fraction(
+            window_size=SPEC.size, period=SPEC.period, phis=[0.999], sample_fraction=0.5
+        )
+        rows = (
+            qlove_estimates(spark, events, SPEC, PHIS, fewk=cfg).orderBy("w").collect()
+        )
+        kernel = _kernel_results(stream, SPEC, PHIS, fewk=cfg)
+        assert [r.w for r in rows] == list(range(3, 3 + len(kernel)))
+        np.testing.assert_array_equal(
+            [r.estimates for r in rows], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     def test_quantized_matches_kernel(self, spark, events, stream):
         rows = (

@@ -7,7 +7,7 @@ from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
 from repro.sparklayer.streaming import make_handler, qlove_streaming
 from repro.streams.windows import WindowSpec
-from repro.synth_data import inject_burst, netmon
+from repro.synth_data import ar1, inject_burst, netmon
 
 PHIS = (0.5, 0.9, 0.99)
 SPEC = WindowSpec(size=2_000, period=500)
@@ -207,6 +207,37 @@ class TestHandlerUnit:
         for i, res in enumerate(kernel):
             np.testing.assert_allclose(got[3 + i], [res[p] for p in PHIS], rtol=1e-12)
 
+    @pytest.mark.parametrize("fewk", [False, True], ids=["plain", "fewk"])
+    def test_ar1_bit_identical_to_kernel(self, fewk):
+        # Float values show any other Level-2 summation order in the last
+        # bits. Batches straddle sub-windows and arrive in swapped pairs.
+        stream = inject_burst(
+            ar1(30_000, psi=0.8, seed=3), window_size=SPEC.size, period=SPEC.period, phi=0.99
+        )
+        cfg = (
+            FewKConfig.from_fraction(
+                window_size=SPEC.size,
+                period=SPEC.period,
+                phis=[0.99],
+                top_fraction=0.25,
+                sample_fraction=0.5,
+            )
+            if fewk
+            else None
+        )
+        handler = make_handler(SPEC, PHIS, fewk=cfg)
+        state = self._FakeState()
+        outs = []
+        for pair in range(0, len(stream), 1_500):
+            for lo in (pair + 750, pair):
+                outs.extend(self._feed(handler, state, stream, lo, lo + 750))
+        kernel = QloveOperator(SPEC, PHIS, fewk=cfg).observe_chunk(stream)
+        assert [int(w) for o in outs for w in o["w"]] == list(range(3, 3 + len(kernel)))
+        np.testing.assert_array_equal(
+            [est for o in outs for est in o["estimates"]],
+            [[res[p] for p in PHIS] for res in kernel],
+        )
+
     def test_state_pruned(self):
         import pickle
 
@@ -216,6 +247,23 @@ class TestHandlerUnit:
         for lo in range(0, 10_000, 500):
             self._feed(handler, state, stream, lo, lo + 500)
         st = pickle.loads(bytes(state.get[0]))
-        # bounded state: at most ~n summaries + 1 burst-neighbour retained
-        assert len(st["summaries"]) <= SPEC.n_subwindows + 1
+        # bounded state: the merge retains n summaries, nothing is parked
+        assert len(st["merge"].summaries) <= SPEC.n_subwindows
+        assert st["merge"].next_sub_id == 20
+        assert len(st["summaries"]) == 0
         assert len(st["inflight"]) == 0
+
+    def test_replayed_subwindow_dropped(self):
+        import pickle
+
+        stream = netmon(3_000, seed=8)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for lo in range(0, 3_000, 500):
+            outs.extend(self._feed(handler, state, stream, lo, lo + 500))
+        assert [int(w) for o in outs for w in o["w"]] == [3, 4, 5]
+        assert self._feed(handler, state, stream, 0, 500) == []
+        st = pickle.loads(bytes(state.get[0]))
+        assert len(st["summaries"]) == 0 and len(st["inflight"]) == 0
+        assert st["merge"].next_sub_id == 6

@@ -12,17 +12,6 @@ def _builder(phis=(0.5, 0.9, 0.99), **kw):
 
 
 class TestAccumulate:
-    def test_per_element_matches_chunk(self):
-        g = np.random.default_rng(0)
-        values = np.rint(g.normal(1000, 100, 500))
-        b1, b2 = _builder(), _builder()
-        for v in values:
-            b1.accumulate(float(v))
-        b2.accumulate_chunk(values)
-        s1, s2 = b1.finalize(), b2.finalize()
-        assert s1.count == s2.count == 500
-        np.testing.assert_array_equal(s1.quantiles, s2.quantiles)
-
     def test_unique_tracking(self):
         b = _builder()
         b.accumulate_chunk(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]))
@@ -31,8 +20,7 @@ class TestAccumulate:
 
     def test_quantization_applied(self):
         b = _builder(sig_digits=2)
-        b.accumulate(74_265.0)
-        b.accumulate(74_123.0)  # both quantize to 74,000
+        b.accumulate_chunk(np.array([74_265.0, 74_123.0]))  # both quantize to 74,000
         assert b.in_flight_unique == 1
 
     def test_tree_mode_matches_lazy(self):
@@ -48,15 +36,6 @@ class TestAccumulate:
     def test_invalid_l1_mode(self):
         with pytest.raises(ValueError):
             _builder(l1_mode="bogus")
-
-    def test_quantization_chunk_matches_element(self):
-        g = np.random.default_rng(1)
-        values = g.random(200) * 10_000
-        b1, b2 = _builder(sig_digits=3), _builder(sig_digits=3)
-        for v in values:
-            b1.accumulate(float(v))
-        b2.accumulate_chunk(values)
-        np.testing.assert_array_equal(b1.finalize().quantiles, b2.finalize().quantiles)
 
 
 class TestFinalize:
