@@ -69,19 +69,30 @@ class WeightedSummary:
 
     def query(self, phi: float) -> float:
         """phi-quantile under the paper's rank convention: the stored value
-        whose *bucket midpoint* is nearest above ``ceil(phi * W)``.
+        whose *bucket midpoint* is nearest to ``ceil(phi * W)``.
 
         Each stored point summarizes a bucket of ``w`` ranks and sits (by
         construction in :meth:`compress`) at the bucket's middle, so rank
         lookups compare against ``cum - w/2``. Comparing against the
         bucket *end* instead would bias every lookup half a bucket low —
         a systematic error that adds coherently across merged summaries.
+
+        Taking the nearest midpoint (not the first one at or above the
+        target) keeps the lookup's own discretization within ``w/2``, so a
+        merge of ``n`` summaries of weight ``W`` at capacity ``c`` stays
+        within ``n * W / (2c)`` ranks: ``W/(2c)`` from each of the other
+        ``n - 1`` summaries plus ``W/(2c)`` for the lookup. Rounding up
+        instead can cost a whole bucket, ``W/c``.
         """
         total = self.total_weight
         rank = min(max(1.0, math.ceil(phi * total)), total)
         mid = np.cumsum(self.weights) - self.weights / 2.0
         # rank - 0.5 keeps the unweighted case exact: unit-weight midpoints
-        # sit at i - 0.5, so the element of rank r is the first midpoint at
-        # or above r - 0.5.
-        idx = int(np.searchsorted(mid, rank - 0.5 - 1e-9, side="left"))
-        return float(self.values[min(idx, len(self.values) - 1)])
+        # sit at i - 0.5, so the element of rank r has its midpoint exactly
+        # at r - 0.5.
+        target = rank - 0.5
+        idx = int(np.searchsorted(mid, target - 1e-9, side="left"))
+        idx = min(idx, len(self.values) - 1)
+        if idx > 0 and target - mid[idx - 1] < mid[idx] - target:
+            idx -= 1
+        return float(self.values[idx])

@@ -149,6 +149,12 @@ def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray
     return prefix[i - 1 :: i][:k_s]
 
 
+def _kth_largest(values: np.ndarray, rank: int) -> float:
+    """The ``rank``-th largest (1-based) of ``values``, by selection."""
+    i = len(values) - rank
+    return float(np.partition(values, i)[i])
+
+
 def topk_merge(caches: "list[np.ndarray]", big_k: int) -> float:
     """Window answer by top-k merging: K-th largest of all cached values.
 
@@ -159,8 +165,7 @@ def topk_merge(caches: "list[np.ndarray]", big_k: int) -> float:
     merged = np.concatenate([np.asarray(c, dtype=np.float64) for c in caches]) if caches else np.empty(0)
     if merged.size == 0:
         raise ValueError("topk_merge needs at least one cached value")
-    merged = np.sort(merged)[::-1]
-    return float(merged[min(big_k, len(merged)) - 1])
+    return _kth_largest(merged, min(big_k, len(merged)))
 
 
 def samplek_merge(samples: "list[np.ndarray]", big_k: int) -> float:
@@ -180,6 +185,5 @@ def samplek_merge(samples: "list[np.ndarray]", big_k: int) -> float:
     merged = np.concatenate([np.asarray(s, dtype=np.float64) for s in samples])
     if merged.size == 0:
         raise ValueError("samplek_merge needs at least one sampled value")
-    merged = np.sort(merged)[::-1]
     rank = max(1, math.ceil(len(merged) / len(samples)))
-    return float(merged[min(rank, len(merged)) - 1])
+    return _kth_largest(merged, min(rank, len(merged)))

@@ -4,8 +4,9 @@ DataFrame / Spark SQL API (see DESIGN.md section 3).
   - :mod:`repro.sparklayer.events` — event-stream DataFrames and sub-window
     assignment.
   - :mod:`repro.sparklayer.level1` — Level-1 frequency state and summaries
-    (``groupBy(sub_id, value).count()`` + ``applyInPandas``).
-  - :mod:`repro.sparklayer.level2` — Level-2 sliding aggregation in Spark SQL.
+    (``groupBy(sub_id, value).count()`` + ``applyInArrow``).
+  - :mod:`repro.sparklayer.level2` — Level-2 sliding mean as one window-frame
+    pass over the summaries.
   - :mod:`repro.sparklayer.qlove_spark` — end-to-end QLOVE estimates.
   - :mod:`repro.sparklayer.exact_spark` — exact per-window quantiles in Spark.
   - :mod:`repro.sparklayer.streaming` — Structured Streaming stateful QLOVE.

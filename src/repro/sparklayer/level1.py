@@ -3,8 +3,8 @@
 The paper's frequency-compressed Level-1 state ``{value -> count}`` is
 exactly a relational group-by: ``events.groupBy(sub_id, value).count()``.
 Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
-computed per sub-window with ``applyInPandas`` over that state — one tiny
-pandas group per sub-window, embarrassingly parallel across sub-windows.
+computed per sub-window with ``applyInArrow`` over that state — one Arrow
+group per sub-window, embarrassingly parallel across sub-windows.
 
 The group function calls the kernel's
 :func:`repro.core.subwindow.summarize`, so every summary is bit-identical
@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     ArrayType,
     DoubleType,
@@ -46,6 +47,7 @@ SUMMARY_SCHEMA = StructType(
         StructField("sample_k", ArrayType(ArrayType(DoubleType(), False), False), False),
     ]
 )
+_SUMMARY_ARROW_SCHEMA = to_arrow_schema(SUMMARY_SCHEMA)
 
 
 def _summary_to_row(s: SubWindowSummary, fewk: FewKConfig) -> dict:
@@ -109,17 +111,21 @@ def subwindow_summaries(
 
     Equivalent to running :class:`repro.core.subwindow.SubWindowBuilder`
     over every sub-window, but data-parallel: the frequency state is built
-    by Spark's shuffle and each summary by one ``applyInPandas`` group.
+    by Spark's shuffle and each summary by one ``applyInArrow`` group.
     """
     phis = tuple(phis)
     cfg = fewk or FewKConfig()
     state = freq_state(events, period, sig_digits=sig_digits)
 
-    def group_summary(pdf: pd.DataFrame) -> pd.DataFrame:
-        values = pdf["value"].to_numpy(dtype=np.float64)
-        freqs = pdf["freq"].to_numpy(dtype=np.int64)
+    # Unannotated on purpose: with ``from __future__ import annotations`` the
+    # hints are strings, and PySpark 4.1's applyInArrow then fails to infer
+    # the function form (UnboundLocalError: eval_type).
+    def group_summary(table):
+        values = table.column("value").to_numpy().astype(np.float64, copy=False)
+        freqs = table.column("freq").to_numpy().astype(np.int64, copy=False)
         order = np.argsort(values)
-        s = summarize(values[order], freqs[order], phis, cfg, int(pdf["sub_id"].iloc[0]))
-        return pd.DataFrame([_summary_to_row(s, cfg)])
+        sub_id = table.column("sub_id")[0].as_py()
+        s = summarize(values[order], freqs[order], phis, cfg, sub_id)
+        return pa.Table.from_pylist([_summary_to_row(s, cfg)], schema=_SUMMARY_ARROW_SCHEMA)
 
-    return state.groupBy("sub_id").applyInPandas(group_summary, SUMMARY_SCHEMA)
+    return state.groupBy("sub_id").applyInArrow(group_summary, SUMMARY_SCHEMA)

@@ -4,8 +4,10 @@ The heavy, data-parallel part — building per-sub-window summaries over
 millions of events — runs as a Spark dataflow (:mod:`.level1`). What
 remains per window is tiny (``n`` summaries of ``l + k`` floats), so:
 
-  - without few-k merging, Level 2 stays in Spark SQL
-    (:func:`repro.sparklayer.level2.sliding_mean_estimates`);
+  - without few-k merging, Level 2 stays in Spark SQL as one window-frame
+    pass over the summaries
+    (:func:`repro.sparklayer.level2.sliding_mean_estimates`), so the query
+    evaluates Level 1 once;
   - with few-k merging, the collected summaries (a few KB) are pushed in
     ``sub_id`` order through the kernel's own Level 2,
     :class:`repro.core.qlove.SlidingMerge` (burst detection is inherently
@@ -16,8 +18,8 @@ The sub-window summaries are bit-identical to the kernel's (one function,
 :func:`repro.core.subwindow.summarize`, computes both), and so are the
 few-k window estimates (one Level 2 merges both). The plain SQL path agrees
 with :class:`repro.core.qlove.QloveOperator` to ``rtol=1e-12``, not bit for
-bit: SQL ``avg`` sums each window afresh, while the kernel keeps running
-sums (tested in ``tests/test_spark_qlove.py``).
+bit: the window frame sums each window afresh, while the kernel keeps
+running sums (tested in ``tests/test_spark_qlove.py``).
 """
 from __future__ import annotations
 

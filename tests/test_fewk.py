@@ -168,3 +168,43 @@ class TestSamplekMerge:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             samplek_merge([], 5)
+
+
+class TestMergesMatchSortReference:
+    """Both merges select their rank by partition; the reference reads it
+    from a full descending sort, and the floats must be identical."""
+
+    @staticmethod
+    def _sorted_kth(caches, rank):
+        merged = np.sort(np.concatenate(caches))[::-1]
+        return float(merged[min(rank, len(merged)) - 1])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_caches=st.integers(min_value=1, max_value=6),
+        max_len=st.integers(min_value=1, max_value=40),
+        distinct=st.sampled_from([3, 1_000_000]),  # 3: heavy ties
+        big_k=st.integers(min_value=1, max_value=120),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_identical_to_full_sort(self, seed, n_caches, max_len, distinct, big_k):
+        g = np.random.default_rng(seed)
+        caches = [
+            g.integers(0, distinct, g.integers(1, max_len + 1)).astype(np.float64) / 7
+            for _ in range(n_caches)
+        ]
+        assert topk_merge(caches, big_k) == self._sorted_kth(caches, big_k)
+        merged_len = sum(len(c) for c in caches)
+        rank = max(1, -(-merged_len // n_caches))
+        assert samplek_merge(caches, big_k) == self._sorted_kth(caches, rank)
+
+    def test_ties_underfull_and_single_cache(self):
+        ties = [np.array([2.0, 2.0, 1.0]), np.array([2.0, 1.0])]
+        assert topk_merge(ties, 3) == 2.0
+        assert topk_merge(ties, 4) == 1.0
+        assert samplek_merge(ties, 99) == 2.0  # rank ceil(5/2) = 3
+        assert topk_merge(ties, 50) == 1.0  # merged length 5 < big_k
+        single = [np.array([4.0, 9.0, 1.0, 9.0])]
+        assert topk_merge(single, 2) == 9.0
+        assert topk_merge(single, 3) == 4.0
+        assert samplek_merge(single, 1) == 1.0  # rank = |merged| / 1

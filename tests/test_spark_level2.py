@@ -101,6 +101,31 @@ class TestSlidingMean:
                 row.estimates, [res[p] for p in PHIS], rtol=1e-12
             )
 
+    @pytest.mark.parametrize("dropped", [1, 6])
+    def test_gap_drops_exactly_the_windows_containing_it(self, summaries, dropped):
+        from repro.core.qlove import QloveOperator
+        from repro.streams.windows import WindowSpec
+
+        spec = WindowSpec(size=PERIOD * N_SUB, period=PERIOD)
+        kernel = QloveOperator(spec, PHIS).observe_chunk(netmon(6_000, seed=2))
+        windows = {N_SUB - 1 + i: res for i, res in enumerate(kernel)}
+        # window w holds sub-windows w-n+1 .. w; near the start a gap also
+        # leaves a frame of fewer than n rows that starts at w-n+1
+        expected = {w: res for w, res in windows.items() if not w - N_SUB < dropped <= w}
+        rows = sliding_mean_estimates(
+            summaries.where(F.col("sub_id") != dropped), N_SUB
+        ).collect()
+        assert sorted(r.w for r in rows) == sorted(expected)
+        for r in rows:
+            np.testing.assert_allclose(
+                r.estimates, [expected[r.w][p] for p in PHIS], rtol=1e-12
+            )
+
+    def test_fewer_than_n_summaries_is_empty(self, summaries):
+        short = summaries.where(F.col("sub_id") < N_SUB - 1)
+        assert short.count() == N_SUB - 1
+        assert sliding_mean_estimates(short, N_SUB).count() == 0
+
     def test_estimate_array_aligned_with_phis(self, summaries):
         rows = sliding_mean_estimates(summaries, N_SUB).collect()
         for r in rows:

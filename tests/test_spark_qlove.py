@@ -99,6 +99,15 @@ class TestQloveEstimates:
         rows = qlove_estimates(spark, events, SPEC, PHIS).collect()
         assert len(rows) == SPEC.n_evaluations(4_500) == 1
 
+    def test_plain_plan_runs_level1_once(self, spark, stream, tmp_path):
+        path = str(tmp_path / "events.parquet")
+        telemetry_events(spark, stream).write.parquet(path)
+        out = qlove_estimates(spark, spark.read.parquet(path), SPEC, PHIS)
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("FlatMapGroupsIn") == 1, plan
+        assert plan.count("FileScan parquet") == 1, plan
+        assert "Join" not in plan, plan
+
 
 class TestExactSpark:
     def test_matches_oracle_sql(self, spark, events):
