@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.quantile import sorted_runs
+
 __all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult"]
 
 # Normal-approximation one-sided critical values for common alphas.
@@ -31,19 +33,20 @@ class MannWhitneyResult:
     greater: bool
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    """Midranks of ``pooled`` (average rank over ties), 1-indexed."""
+def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of ``pooled`` (average rank over ties), 1-indexed, and the
+    size of each tie group.
+
+    A tie group is a run of equal values in sorted order; one that starts
+    at 0-based position ``i`` and holds ``t`` values has the midrank
+    ``i + (t-1)/2 + 1``, an exact half, so the sum of ranks is exact.
+    """
     order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled), dtype=np.float64)
     sorted_vals = pooled[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    starts, counts = sorted_runs(sorted_vals)
+    ranks = np.empty(len(pooled), dtype=np.float64)
+    ranks[order] = np.repeat(starts + (counts - 1) / 2.0 + 1.0, counts)
+    return ranks, counts
 
 
 def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhitneyResult:
@@ -58,13 +61,12 @@ def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhi
     if n1 == 0 or n2 == 0:
         return MannWhitneyResult(u=0.0, z=0.0, greater=False)
     pooled = np.concatenate([x, y])
-    ranks = _midranks(pooled)
+    ranks, counts = _midranks(pooled)
     r1 = ranks[:n1].sum()
     u = r1 - n1 * (n1 + 1) / 2.0
     mean_u = n1 * n2 / 2.0
     n = n1 + n2
     # Tie correction: sum over tie groups of (t^3 - t).
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(((counts.astype(np.float64) ** 3) - counts).sum())
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
     if var_u <= 0:

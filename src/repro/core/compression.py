@@ -15,6 +15,15 @@ import numpy as np
 
 __all__ = ["quantize_sig", "max_relative_error"]
 
+# 10^e for every exponent the masked path can ask for: a finite non-zero
+# float64 has floor(log10|v|) in [-324, 308], less digits - 1 for
+# digits <= _POW10_DIGITS. It is built with the same np.power the masked
+# path calls, so a lookup returns the same bits (0.0 and subnormals
+# included, at the bottom).
+_POW10_DIGITS = 17
+_POW10_LO = -324 - (_POW10_DIGITS - 1)
+_POW10 = np.power(10.0, np.arange(_POW10_LO, 309, dtype=np.float64))
+
 
 def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
     """Zero out all but the ``digits`` most significant decimal digits.
@@ -26,6 +35,21 @@ def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    # Fast path: no zero and no non-finite value (NaN fails both tests), so
+    # no mask is needed and the scale is a table lookup. A 0-d input takes
+    # the masked path, which keeps it an array.
+    if digits <= _POW10_DIGITS and v.ndim and v.size and a.min() > 0 and a.max() < np.inf:
+        idx = np.floor(np.log10(a)).astype(np.intp)
+        idx -= digits - 1 + _POW10_LO
+        scale = _POW10[idx]
+        # Every step below is odd-symmetric, so dividing v rather than |v|
+        # gives the masked path's sign(v) * trunc(ratio) * scale exactly.
+        out = v / scale
+        out *= 1.0 + 1e-10  # the masked path's inflation, see below
+        np.trunc(out, out=out)
+        out *= scale
+        return out
     out = np.zeros_like(v)
     nz = v != 0
     if not nz.any():

@@ -51,10 +51,14 @@ def window_result(
     :class:`SlidingMerge` passes its running-sum ``means``; without them
     the means are recomputed from the summaries. Per quantile: sample-k
     result if any member sub-window was flagged bursty, else top-k when
-    enabled (statistical inefficiency), else the plain Level-2 mean.
+    enabled (statistical inefficiency), else the plain Level-2 mean. With
+    no few-k budget and ``means`` given, ``summaries`` is never read, so a
+    plain slide costs O(l) whatever the window's ``n``.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
+    if not fewk.budgets:
+        return dict(zip(phis, means.tolist()))
     result: dict[float, float] = {}
     any_burst = any(s.bursty for s in summaries)
     for i, phi in enumerate(phis):
@@ -124,7 +128,7 @@ class SlidingMerge:
         if len(self.summaries) < self.n:
             return None  # window not yet full
         return window_result(
-            list(self.summaries), self.phis, self.fewk, means=self.sums / self.n
+            self.summaries, self.phis, self.fewk, means=self.sums / self.n
         )
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "exact_quantiles",
     "exact_quantiles_freq",
     "rank_error",
+    "sorted_runs",
 ]
 
 
@@ -76,11 +77,29 @@ def exact_quantiles_freq(
     counts = np.asarray(counts, dtype=np.int64)
     if unique_sorted.shape != counts.shape:
         raise ValueError("unique_sorted and counts must align")
-    total = int(counts.sum())
     cum = np.cumsum(counts)
+    total = int(cum[-1]) if len(cum) else 0
     ranks = np.array([rank_of(p, total) for p in phis], dtype=np.int64)
     idx = np.searchsorted(cum, ranks, side="left")
-    return unique_sorted.astype(np.float64)[idx]
+    return unique_sorted[idx].astype(np.float64, copy=False)
+
+
+def sorted_runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal values in an ascending
+    array: the frequency state of a sorted sub-window is
+    ``(sorted_values[starts], counts)``. NaN never equals itself, so each
+    NaN is a run of its own.
+    """
+    s = sorted_values
+    new_run = np.empty(len(s), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:]
+    counts[-1:] = len(s)
+    counts -= starts
+    return starts, counts
 
 
 def rank_error(estimate: float, window_sorted: np.ndarray, phi: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.compression import quantize_sig
 from repro.core.fewk import FewKConfig, interval_sample
-from repro.core.quantile import exact_quantiles_freq
+from repro.core.quantile import exact_quantiles_freq, sorted_runs
 from repro.core.summary import SubWindowSummary
 
 __all__ = ["SubWindowBuilder", "summarize"]
@@ -139,7 +139,13 @@ class SubWindowBuilder:
             parts.append(np.repeat(keys, cnts))
         if not parts:
             return np.empty(0), np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts), return_counts=True)
+        s = np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        if np.isnan(s[-1]):  # NaN sorts last; np.unique folds the NaNs into one
+            return np.unique(s, return_counts=True)
+        # Run-length encoding of the sorted values: np.unique's own steps,
+        # without its second copy.
+        starts, counts = sorted_runs(s)
+        return s[starts], counts
 
     @property
     def in_flight_count(self) -> int:

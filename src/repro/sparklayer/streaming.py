@@ -6,7 +6,8 @@ Structured Streaming stateful aggregation": events arrive as a stream of
 ``applyInPandasWithState`` maintains QLOVE's state —
 
   - ``inflight``: the in-flight sub-windows' frequency-compressed Level-1
-    states, keyed by ``sub_id``;
+    states, keyed by ``sub_id``, each with a bitmap of the ``seq`` offsets
+    it has seen;
   - ``summaries``: completed sub-windows summarized by
     :func:`repro.core.subwindow.summarize` but not yet merged, because an
     earlier sub-window is still in flight;
@@ -22,8 +23,14 @@ estimates, burst flags included, are therefore bit-identical to the
 kernel's. Windows are emitted in ``w`` order: window ``w`` is emitted once
 every sub-window up to ``w`` has completed, not as soon as its own members
 have. For a stream whose sub-windows all arrive, the emitted set of
-windows is the kernel's. A completed sub-window the merge has already
-passed (a replay) is dropped, not parked.
+windows is the kernel's.
+
+Events are deduplicated by ``seq`` (the group key is the stream): only the
+first arrival of a ``seq`` counts, and a sub-window completes when every
+one of its ``P`` offsets has arrived, so a duplicate can neither stall it
+nor complete it early. An event of a sub-window that is already merged or
+parked (a replay) is dropped without opening an in-flight entry. The
+estimates are then the kernel's on the deduplicated stream.
 
 State is held as one pickled binary column: the state is an arbitrary
 nested dict (freq maps, summary objects) and serializing it wholesale keeps
@@ -85,22 +92,28 @@ def make_handler(
             if sig_digits is not None:
                 values = quantize_sig(values, sig_digits)
             sub_ids = seq // spec.period
-            for s_id in np.unique(sub_ids):
-                chunk = values[sub_ids == s_id]
-                entry = st["inflight"].setdefault(int(s_id), {"freq": {}, "count": 0})
-                uniq, counts = np.unique(chunk, return_counts=True)
+            for s_id in np.unique(sub_ids).tolist():
+                if s_id < merge.next_sub_id or s_id in st["summaries"]:
+                    continue  # replay of a sub-window already merged or parked
+                in_sub = np.flatnonzero(sub_ids == s_id)
+                entry = st["inflight"].setdefault(
+                    s_id, {"freq": {}, "seen": np.zeros(spec.period, dtype=bool)}
+                )
+                # Only the first arrival of each seq counts: the first in
+                # this batch, and only if no earlier batch delivered it.
+                offsets, first = np.unique(seq[in_sub] - s_id * spec.period, return_index=True)
+                new = ~entry["seen"][offsets]
+                entry["seen"][offsets[new]] = True
+                uniq, counts = np.unique(values[in_sub[first[new]]], return_counts=True)
                 for v, c in zip(uniq.tolist(), counts.tolist()):
                     entry["freq"][v] = entry["freq"].get(v, 0) + c
-                entry["count"] += len(chunk)
-                if entry["count"] == spec.period:
-                    freq = st["inflight"].pop(int(s_id))["freq"]
-                    if s_id < merge.next_sub_id:
-                        continue  # replayed sub-window, already merged
+                if entry["seen"].all():  # every seq of the sub-window is in
+                    freq = st["inflight"].pop(s_id)["freq"]
                     vals = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
                     freqs = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
                     order = np.argsort(vals)
-                    st["summaries"][int(s_id)] = summarize(
-                        vals[order], freqs[order], phis, cfg, int(s_id)
+                    st["summaries"][s_id] = summarize(
+                        vals[order], freqs[order], phis, cfg, s_id
                     )
         results = []
         while merge.next_sub_id in st["summaries"]:

@@ -74,3 +74,53 @@ class TestQuantizeSig:
 def test_max_relative_error_values():
     assert max_relative_error(3) == pytest.approx(0.01)
     assert max_relative_error(1) == pytest.approx(1.0)
+
+
+def _masked_quantize(values, digits=3):
+    """The masked quantization with a per-element np.power: the reference
+    the table-driven fast path of quantize_sig must match bit for bit."""
+    v = np.asarray(values, dtype=np.float64)
+    out = np.zeros_like(v)
+    nz = v != 0
+    if not nz.any():
+        return out
+    mag = np.floor(np.log10(np.abs(v[nz])))
+    scale = np.power(10.0, mag - (digits - 1))
+    ratio = np.abs(v[nz]) / scale * (1.0 + 1e-10)
+    out[nz] = np.sign(v[nz]) * np.trunc(ratio) * scale
+    return out
+
+
+def _fast_path_inputs():
+    decades = 10.0 ** np.arange(-307, 309)
+    tiny = np.array([5e-324, 1e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0)])
+    g = np.random.default_rng(4)
+    regular = np.concatenate(
+        [
+            decades,
+            np.nextafter(decades, 0),  # just below each decade boundary
+            tiny,
+            [2.2250738585072014e-308, 1.7976931348623157e308],
+            g.lognormal(5, 4, 2_000),
+            np.rint(g.normal(1_000, 300, 2_000)),
+        ]
+    )
+    regular = np.concatenate([regular, -regular])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    return {
+        "no-zero-finite": regular,
+        "subnormal-only": tiny,
+        "mixed": np.concatenate([regular, specials]),
+        **{f"alone-{x!r}": np.array([x]) for x in specials.tolist()},
+    }
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_fast_path_bit_identical_to_masked_reference(digits):
+    with np.errstate(all="ignore"):
+        for name, values in _fast_path_inputs().items():
+            got, want = quantize_sig(values, digits), _masked_quantize(values, digits)
+            # int64 views compare bits: the sign of zero and NaN included.
+            np.testing.assert_array_equal(
+                got.view(np.int64), want.view(np.int64), err_msg=name
+            )

@@ -244,6 +244,48 @@ class TestWindowResult:
         assert merge.push(s[1]) == {0.5: 10.5, 0.99: 100.5}
 
 
+class TestPlainSlideCost:
+    """A plain slide (no few-k budget) must cost O(l), never O(n)."""
+
+    class _NoIter(list):
+        def __iter__(self):
+            raise AssertionError("plain Level 2 iterated the summaries")
+
+    def test_plain_window_result_never_iterates_summaries(self):
+        from repro.core.qlove import window_result
+
+        summaries = self._NoIter(TestWindowResult()._summaries())
+        res = window_result(summaries, (0.5, 0.99), FewKConfig(), means=np.array([1.5, 2.5]))
+        assert res == {0.5: 1.5, 0.99: 2.5}
+
+    def test_1m_window_equals_running_sum_means(self):
+        from collections import deque
+
+        class NoIterDeque(deque):
+            def __iter__(self):
+                raise AssertionError("plain Level 2 iterated the summaries")
+
+        spec = WindowSpec(size=1_000_000, period=1_000)
+        stream = netmon(1_050_000, seed=21)
+        op = QloveOperator(spec, PHIS)
+        op._merge.summaries = NoIterDeque(maxlen=spec.n_subwindows)
+        got = [[r[p] for p in PHIS] for r in op.observe_chunk(stream)]
+        # The running sums, in the operator's order of adds and subtracts.
+        sub_q = [
+            exact_quantiles(stream[i : i + spec.period], PHIS)
+            for i in range(0, len(stream), spec.period)
+        ]
+        sums, want = np.zeros(len(PHIS)), []
+        for i, q in enumerate(sub_q):
+            if i >= spec.n_subwindows:
+                sums -= sub_q[i - spec.n_subwindows]
+            sums += q
+            if i >= spec.n_subwindows - 1:
+                want.append(sums / spec.n_subwindows)
+        assert len(got) == 51
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSpace:
     def test_analytical_formula(self):
         spec = WindowSpec(size=131_072, period=16_384)

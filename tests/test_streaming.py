@@ -1,7 +1,11 @@
 """Structured Streaming tests: stateful QLOVE (sparklayer/streaming.py)."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
@@ -151,10 +155,27 @@ class TestHandlerUnit:
             self._val = v
 
     def _feed(self, handler, state, stream, lo, hi):
+        return self._feed_seq(handler, state, stream, np.arange(lo, hi, dtype=np.int64))
+
+    def _feed_seq(self, handler, state, stream, seq, values=None):
         pdf = pd.DataFrame(
-            {"seq": np.arange(lo, hi, dtype=np.int64), "value": stream[lo:hi]}
+            {"seq": seq, "value": stream[seq] if values is None else values}
         )
         return list(handler(("s0",), iter([pdf]), state))
+
+    def _assert_kernel_and_clean(self, outs, state, stream):
+        """Every window of ``stream`` emitted once, bit-identical to the
+        kernel's, and no sub-window left in flight or parked."""
+        kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
+        first = SPEC.n_subwindows - 1
+        assert [int(w) for o in outs for w in o["w"]] == list(range(first, first + len(kernel)))
+        np.testing.assert_array_equal(
+            [est for o in outs for est in o["estimates"]],
+            [[res[p] for p in PHIS] for res in kernel],
+        )
+        st_ = pickle.loads(bytes(state.get[0]))
+        assert st_["inflight"] == {} and st_["summaries"] == {}
+        assert st_["merge"].next_sub_id == len(stream) // SPEC.period
 
     def test_emits_once_per_window(self):
         stream = netmon(3_000, seed=5)
@@ -239,8 +260,6 @@ class TestHandlerUnit:
         )
 
     def test_state_pruned(self):
-        import pickle
-
         stream = netmon(10_000, seed=7)
         handler = make_handler(SPEC, PHIS)
         state = self._FakeState()
@@ -254,8 +273,6 @@ class TestHandlerUnit:
         assert len(st["inflight"]) == 0
 
     def test_replayed_subwindow_dropped(self):
-        import pickle
-
         stream = netmon(3_000, seed=8)
         handler = make_handler(SPEC, PHIS)
         state = self._FakeState()
@@ -267,3 +284,73 @@ class TestHandlerUnit:
         st = pickle.loads(bytes(state.get[0]))
         assert len(st["summaries"]) == 0 and len(st["inflight"]) == 0
         assert st["merge"].next_sub_id == 6
+
+    def test_duplicate_event_in_batch_counts_once(self):
+        # Seq 700 arrives twice in one batch; the second copy carries
+        # another value and must be ignored, not push the count past P.
+        stream = netmon(3_000, seed=10)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for lo in range(0, 3_000, 500):
+            seq = np.arange(lo, lo + 500, dtype=np.int64)
+            values = stream[seq]
+            if lo == 500:
+                seq = np.append(seq, 700)
+                values = np.append(values, 1e9)
+            outs.extend(self._feed_seq(handler, state, stream, seq, values))
+        self._assert_kernel_and_clean(outs, state, stream)
+
+    def test_duplicate_events_across_batches(self):
+        # Overlapping batches: seqs 250..299 and 1200..1499 arrive twice.
+        stream = netmon(3_000, seed=11)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for lo, hi in [(0, 300), (250, 1000), (1000, 1500), (1200, 3000)]:
+            outs.extend(self._feed(handler, state, stream, lo, hi))
+        self._assert_kernel_and_clean(outs, state, stream)
+
+    def test_partial_replay_of_merged_subwindow_leaves_no_entry(self):
+        stream = netmon(3_000, seed=12)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for lo in range(0, 3_000, 500):
+            outs.extend(self._feed(handler, state, stream, lo, lo + 500))
+        assert self._feed(handler, state, stream, 100, 200) == []
+        self._assert_kernel_and_clean(outs, state, stream)
+
+    def test_partial_replay_of_parked_subwindow_leaves_no_entry(self):
+        # Sub-window 2 completes while 1 is missing, so it is parked; a
+        # partial replay of it must not open a new in-flight entry.
+        stream = netmon(3_000, seed=13)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for lo, hi in [(0, 500), (1000, 1500), (1100, 1200), (500, 1000), (1500, 3000)]:
+            outs.extend(self._feed(handler, state, stream, lo, hi))
+        self._assert_kernel_and_clean(outs, state, stream)
+
+    @given(
+        cuts=st.lists(st.integers(min_value=1, max_value=2_999), max_size=12),
+        replays=st.lists(
+            st.tuples(st.integers(0, 2_999), st.integers(1, 600)), max_size=6
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_shuffled_duplicated_batches_match_kernel(self, cuts, replays, order):
+        # Replayed events carry their original values, so the deduplicated
+        # stream is the stream itself.
+        stream = netmon(3_000, seed=14)
+        bounds = sorted({0, 3_000, *cuts})
+        batches = [np.arange(lo, hi, dtype=np.int64) for lo, hi in zip(bounds, bounds[1:])]
+        batches += [np.arange(lo, min(lo + n, 3_000), dtype=np.int64) for lo, n in replays]
+        order.shuffle(batches)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = []
+        for seq in batches:
+            outs.extend(self._feed_seq(handler, state, stream, seq))
+        self._assert_kernel_and_clean(outs, state, stream)

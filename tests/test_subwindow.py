@@ -33,6 +33,30 @@ class TestAccumulate:
         np.testing.assert_array_equal(s_lazy.quantiles, s_tree.quantiles)
         assert s_lazy.count == s_tree.count
 
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [[3.0, 1.0, 3.0, 2.0, 1.0, 3.0]],  # ties
+            [[7.0]],  # a single value
+            [[4.0] * 5],  # a single unique value
+            [[2.0, 1.0], [1.0, 5.0, 2.0], [-0.0, 0.0, 5.0]],  # several parts
+            [[1.0, np.nan, 2.0], [np.nan, 1.0]],  # NaN: np.unique folds it
+        ],
+    )
+    @pytest.mark.parametrize("l1_mode", ["lazy", "tree"])
+    def test_compressed_state_equals_np_unique(self, parts, l1_mode):
+        b = _builder(l1_mode=l1_mode)
+        for part in parts:
+            b.accumulate_chunk(np.array(part))
+        uniq, counts = b._compressed_state()
+        want_uniq, want_counts = np.unique(np.concatenate(parts), return_counts=True)
+        if l1_mode == "lazy":  # bit for bit, the sign of zero included
+            np.testing.assert_array_equal(uniq.view(np.int64), want_uniq.view(np.int64))
+        else:  # the tree's dict keeps the first of -0.0 and 0.0 it saw
+            np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert counts.dtype == want_counts.dtype
+
     def test_invalid_l1_mode(self):
         with pytest.raises(ValueError):
             _builder(l1_mode="bogus")
