@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.eos import WeightedSummary
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["AmPolicy"]
 
@@ -41,30 +41,15 @@ class AmPolicy:
         # [block_index * 2^level, (block_index + 1) * 2^level)
         self._blocks: dict[tuple[int, int], WeightedSummary] = {}
         self._next_sub = 0
-        self._buffer: list[np.ndarray] = []
-        self._buffered = 0
+        self._cut = PeriodBuffer(spec.period)
 
     def _capacity(self, level: int) -> int:
         return min(self.spec.period * 2**level, max(1, math.ceil(8.0 / self.epsilon)))
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
-        values = np.asarray(values, dtype=np.float64)
-        out: list[dict[float, float]] = []
-        pos = 0
-        while pos < len(values):
-            take = min(self.spec.period - self._buffered, len(values) - pos)
-            self._buffer.append(values[pos : pos + take])
-            self._buffered += take
-            pos += take
-            if self._buffered == self.spec.period:
-                self._complete_subwindow(np.concatenate(self._buffer))
-                self._buffer, self._buffered = [], 0
-                res = self._maybe_query()
-                if res is not None:
-                    out.append(res)
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
 
-    def _complete_subwindow(self, chunk: np.ndarray) -> None:
+    def _complete_subwindow(self, chunk: np.ndarray) -> dict[float, float] | None:
         s = self._next_sub
         self._blocks[(0, s)] = WeightedSummary.from_values(chunk, self._capacity(0))
         # Roll up every level whose aligned block just completed.
@@ -82,6 +67,7 @@ class AmPolicy:
             )
         self._next_sub += 1
         self._expire()
+        return self._maybe_query()
 
     def _expire(self) -> None:
         """Drop blocks that can never intersect a future window."""

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.eos import WeightedSummary
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["CmqsPolicy"]
 
@@ -45,27 +45,17 @@ class CmqsPolicy:
         # capped at the sub-window size itself.
         self.capacity = min(spec.period, max(1, math.ceil(2.0 / epsilon)))
         self._sketches: deque[WeightedSummary] = deque(maxlen=spec.n_subwindows)
-        self._buffer: list[np.ndarray] = []
-        self._buffered = 0
+        self._cut = PeriodBuffer(spec.period)
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
-        values = np.asarray(values, dtype=np.float64)
-        out: list[dict[float, float]] = []
-        pos = 0
-        while pos < len(values):
-            take = min(self.spec.period - self._buffered, len(values) - pos)
-            self._buffer.append(values[pos : pos + take])
-            self._buffered += take
-            pos += take
-            if self._buffered == self.spec.period:
-                self._sketches.append(
-                    WeightedSummary.from_values(np.concatenate(self._buffer), self.capacity)
-                )
-                self._buffer, self._buffered = [], 0
-                if len(self._sketches) == self.spec.n_subwindows:
-                    merged = WeightedSummary.merge(list(self._sketches))
-                    out.append({p: merged.query(p) for p in self.phis})
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
+
+    def _complete_subwindow(self, values: np.ndarray) -> dict[float, float] | None:
+        self._sketches.append(WeightedSummary.from_values(values, self.capacity))
+        if len(self._sketches) < self.spec.n_subwindows:
+            return None
+        merged = WeightedSummary.merge(list(self._sketches))
+        return {p: merged.query(p) for p in self.phis}
 
     def space_observed(self) -> int:
         return sum(s.size for s in self._sketches)

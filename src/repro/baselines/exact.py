@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.compression import quantize_sig
 from repro.core.quantile import exact_quantiles_freq
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["ExactPolicy"]
 
@@ -51,28 +51,16 @@ class ExactPolicy:
         self._count = 0
         # Raw composition of each live sub-window, for per-element expiry.
         self._chunks: deque[np.ndarray] = deque()
-        self._buffer: list[np.ndarray] = []
-        self._buffered = 0
+        self._cut = PeriodBuffer(spec.period)
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
-        values = np.asarray(values, dtype=np.float64)
-        if self.sig_digits is not None:
-            values = quantize_sig(values, self.sig_digits)
-        out: list[dict[float, float]] = []
-        pos = 0
-        while pos < len(values):
-            take = min(self.spec.period - self._buffered, len(values) - pos)
-            self._buffer.append(values[pos : pos + take])
-            self._buffered += take
-            pos += take
-            if self._buffered == self.spec.period:
-                res = self._complete_period(np.concatenate(self._buffer))
-                self._buffer, self._buffered = [], 0
-                if res is not None:
-                    out.append(res)
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
 
-    def _complete_period(self, chunk: np.ndarray) -> dict[float, float] | None:
+    def _complete_subwindow(self, chunk: np.ndarray) -> dict[float, float] | None:
+        if self.sig_digits is not None:
+            chunk = quantize_sig(chunk, self.sig_digits)
+        else:
+            chunk = chunk.copy()  # kept until expiry; may view the caller's input
         uniq, counts = np.unique(chunk, return_counts=True)
         freq = self._freq
         for v, c in zip(uniq.tolist(), counts.tolist()):  # Accumulate

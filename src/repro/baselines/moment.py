@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["MomentSketch", "MomentPolicy", "inv_norm_cdf"]
 
@@ -255,38 +255,25 @@ class MomentPolicy:
         self.phis = tuple(phis)
         self.k = k
         self._sketches: deque[MomentSketch] = deque(maxlen=spec.n_subwindows)
-        self._buffer: list[np.ndarray] = []
-        self._buffered = 0
+        self._cut = PeriodBuffer(spec.period)
         self._center: float | None = None  # fixed from the first sub-window
         self.n_fallbacks = 0
         self.n_queries = 0
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
-        values = np.asarray(values, dtype=np.float64)
-        out: list[dict[float, float]] = []
-        pos = 0
-        while pos < len(values):
-            take = min(self.spec.period - self._buffered, len(values) - pos)
-            self._buffer.append(values[pos : pos + take])
-            self._buffered += take
-            pos += take
-            if self._buffered == self.spec.period:
-                chunk = np.concatenate(self._buffer)
-                if self._center is None:
-                    self._center = float(
-                        np.log(np.maximum(chunk, 1e-12)).mean()
-                    )
-                self._sketches.append(
-                    MomentSketch.from_values(chunk, self.k, center=self._center)
-                )
-                self._buffer, self._buffered = [], 0
-                if len(self._sketches) == self.spec.n_subwindows:
-                    merged = MomentSketch.merge(list(self._sketches))
-                    q, fb = merged.quantiles(self.phis)
-                    self.n_queries += 1
-                    self.n_fallbacks += int(fb)
-                    out.append(dict(zip(self.phis, q.tolist())))
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
+
+    def _complete_subwindow(self, values: np.ndarray) -> dict[float, float] | None:
+        if self._center is None:
+            self._center = float(np.log(np.maximum(values, 1e-12)).mean())
+        self._sketches.append(MomentSketch.from_values(values, self.k, center=self._center))
+        if len(self._sketches) < self.spec.n_subwindows:
+            return None
+        merged = MomentSketch.merge(list(self._sketches))
+        q, fb = merged.quantiles(self.phis)
+        self.n_queries += 1
+        self.n_fallbacks += int(fb)
+        return dict(zip(self.phis, q.tolist()))
 
     def space_observed(self) -> int:
         return sum(s.size for s in self._sketches)

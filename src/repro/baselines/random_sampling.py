@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["RandomPolicy"]
 
@@ -47,36 +47,21 @@ class RandomPolicy:
         self.sample_per_sub = max(1, min(spec.period, math.ceil(total / spec.n_subwindows)))
         self._rng = np.random.default_rng(seed)
         self._samples: deque[np.ndarray] = deque(maxlen=spec.n_subwindows)
-        self._buffer: list[np.ndarray] = []
-        self._buffered = 0
+        self._cut = PeriodBuffer(spec.period)
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
-        values = np.asarray(values, dtype=np.float64)
-        out: list[dict[float, float]] = []
-        pos = 0
-        while pos < len(values):
-            take = min(self.spec.period - self._buffered, len(values) - pos)
-            self._buffer.append(values[pos : pos + take])
-            self._buffered += take
-            pos += take
-            if self._buffered == self.spec.period:
-                chunk = np.concatenate(self._buffer)
-                self._buffer, self._buffered = [], 0
-                idx = self._rng.choice(len(chunk), size=self.sample_per_sub, replace=False)
-                self._samples.append(np.sort(chunk[idx]))
-                if len(self._samples) == self.spec.n_subwindows:
-                    merged = np.sort(np.concatenate(list(self._samples)))
-                    out.append(
-                        {
-                            p: float(
-                                merged[
-                                    min(max(1, math.ceil(p * len(merged))), len(merged)) - 1
-                                ]
-                            )
-                            for p in self.phis
-                        }
-                    )
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
+
+    def _complete_subwindow(self, values: np.ndarray) -> dict[float, float] | None:
+        idx = self._rng.choice(len(values), size=self.sample_per_sub, replace=False)
+        self._samples.append(np.sort(values[idx]))
+        if len(self._samples) < self.spec.n_subwindows:
+            return None
+        merged = np.sort(np.concatenate(list(self._samples)))
+        return {
+            p: float(merged[min(max(1, math.ceil(p * len(merged))), len(merged)) - 1])
+            for p in self.phis
+        }
 
     def space_observed(self) -> int:
         return sum(len(s) for s in self._samples)

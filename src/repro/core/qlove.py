@@ -33,7 +33,7 @@ from repro.core.burst import BurstDetector
 from repro.core.fewk import FewKConfig, samplek_merge, topk_merge
 from repro.core.subwindow import SubWindowBuilder
 from repro.core.summary import SubWindowSummary
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["QloveOperator", "SlidingMerge", "window_result"]
 
@@ -136,6 +136,7 @@ class QloveOperator:
     """QLOVE sliding-window quantile estimator.
 
     Drive it per chunk of any length (:meth:`observe_chunk`): a
+    :class:`~repro.streams.windows.PeriodBuffer` cuts the periods, a
     :class:`SubWindowBuilder` summarizes each completed sub-window and a
     :class:`SlidingMerge` turns the summaries into window estimates.
     """
@@ -159,38 +160,24 @@ class QloveOperator:
             self.phis, sig_digits=sig_digits, fewk=self.fewk, l1_mode=l1_mode
         )
         self._merge = SlidingMerge(spec, self.phis, self.fewk, burst_alpha)
+        self._cut = PeriodBuffer(spec.period)
 
-    # ------------------------------------------------------------------ #
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:
         """Accumulate a batch (any length); returns estimates for every
         period boundary the batch crossed."""
-        values = np.asarray(values, dtype=np.float64)
-        out = []
-        pos = 0
-        while pos < len(values):
-            room = self.spec.period - self._builder.in_flight_count
-            take = min(room, len(values) - pos)
-            self._builder.accumulate_chunk(values[pos : pos + take])
-            pos += take
-            if self._builder.in_flight_count == self.spec.period:
-                res = self._merge.push(self._builder.finalize())
-                if res is not None:
-                    out.append(res)
-        return out
+        return self._cut.feed(values, self._complete_subwindow)
 
-    # ------------------------------------------------------------------ #
+    def _complete_subwindow(self, values: np.ndarray) -> dict[float, float] | None:
+        self._builder.accumulate_chunk(values)
+        return self._merge.push(self._builder.finalize())
+
     def space_observed(self) -> int:
         """Stored-variable count (the paper's space metric): retained
-        summaries + the Level-1 frequency state. The in-flight state is
-        empty exactly at evaluation instants (the sub-window just
-        finalized), so its steady-state size is taken as the unique count
-        of the most recently completed sub-window."""
-        inflight = (
-            self._builder.last_unique
-            if self._builder.in_flight_count == 0
-            else self._builder.in_flight_unique
-        )
-        return self._merge.space + inflight
+        summaries + the Level-1 frequency state. The runner polls at
+        evaluation instants, where the sub-window has just been finalized,
+        so the state's steady-state size is taken as the unique count of
+        the most recently completed sub-window."""
+        return self._merge.space + self._builder.last_unique
 
     def space_analytical(self) -> int:
         """The paper's analytical bound ``l*(N/P) + O(P)`` (Section 3.2),

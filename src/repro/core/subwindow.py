@@ -147,15 +147,6 @@ class SubWindowBuilder:
         starts, counts = sorted_runs(s)
         return s[starts], counts
 
-    @property
-    def in_flight_count(self) -> int:
-        return self._count
-
-    @property
-    def in_flight_unique(self) -> int:
-        """Observed size of the Level-1 state (the paper's O(P) term)."""
-        return len(self._compressed_state()[0])
-
     # -- ComputeResult ----------------------------------------------------
     def finalize(self) -> SubWindowSummary:
         """Complete the in-flight sub-window: exact quantiles + tail caches."""

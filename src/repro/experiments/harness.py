@@ -36,12 +36,6 @@ def default_n_events(fallback: int = 2_000_000) -> int:
     return int(os.environ.get("REPRO_N", fallback))
 
 
-def bench_stream_length(fallback: int = 655_360) -> int:
-    """Stream length for pytest-benchmark runs (5 windows at the Table-1
-    config by default) — override with ``REPRO_BENCH_N``."""
-    return int(os.environ.get("REPRO_BENCH_N", fallback))
-
-
 @dataclass
 class PolicyReport:
     """One policy's metrics over one stream/window configuration."""

@@ -149,6 +149,11 @@ def qlove_streaming(
     ``(stream_id STRING, seq BIGINT, value DOUBLE)``. Returns an append-mode
     streaming DataFrame ``(stream_id, w, estimates)`` with one row per
     completed window.
+
+    State is keyed by ``stream_id`` in ``spark.sql.shuffle.partitions``
+    state-store partitions. That count is fixed when the query first
+    starts from its checkpoint, and every micro-batch visits every
+    partition, so set it near the number of stream ids before ``start()``.
     """
     handler = make_handler(
         spec, phis, sig_digits=sig_digits, fewk=fewk, burst_alpha=burst_alpha

@@ -10,7 +10,9 @@ All policies (QLOVE and the baselines) expose the same protocol:
   - ``space_observed() -> int`` — stored-variable count right now.
 
 Chunk size is the window period, matching the evaluation cadence of the
-paper's queries; policies remain free to buffer internally.
+paper's queries. Each policy cuts its input into periods with one
+:class:`~repro.streams.windows.PeriodBuffer`, so it accepts chunks of any
+length with the same results.
 """
 from __future__ import annotations
 

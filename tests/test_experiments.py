@@ -2,7 +2,8 @@
 
 Each table runs at a reduced stream length — enough windows to exercise
 the full pipeline and assert the paper's qualitative *shape*, cheap enough
-for CI. Full-scale numbers live in EXPERIMENTS.md (jobs/ + benchmarks/).
+for CI. Full-scale numbers live in EXPERIMENTS.md
+(regenerated by ``jobs/run.py <experiment>``).
 """
 import numpy as np
 import pytest

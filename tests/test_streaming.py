@@ -43,16 +43,24 @@ def _run_streaming(spark, tmp_path, spec, phis, name, **kw):
         .parquet(str(tmp_path))
     )
     out = qlove_streaming(stream_df, spec, phis, **kw)
-    query = (
-        out.writeStream.format("memory")
-        .queryName(name)
-        .outputMode("append")
-        .start()
-    )
+    # One state-store partition per stream id: the query fixes the count
+    # when it starts, and every micro-batch visits every partition.
+    n_ids = pd.read_parquet(tmp_path, columns=["stream_id"])["stream_id"].nunique()
+    partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", n_ids)
     try:
-        query.processAllAvailable()
+        query = (
+            out.writeStream.format("memory")
+            .queryName(name)
+            .outputMode("append")
+            .start()
+        )
+        try:
+            query.processAllAvailable()
+        finally:
+            query.stop()
     finally:
-        query.stop()
+        spark.conf.set("spark.sql.shuffle.partitions", partitions)
     return (
         spark.sql(f"SELECT * FROM {name}")
         .orderBy("w")

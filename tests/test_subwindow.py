@@ -15,13 +15,14 @@ class TestAccumulate:
     def test_unique_tracking(self):
         b = _builder()
         b.accumulate_chunk(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]))
-        assert b.in_flight_count == 6
-        assert b.in_flight_unique == 3
+        uniq, counts = b._compressed_state()
+        assert counts.sum() == 6
+        assert len(uniq) == 3
 
     def test_quantization_applied(self):
         b = _builder(sig_digits=2)
         b.accumulate_chunk(np.array([74_265.0, 74_123.0]))  # both quantize to 74,000
-        assert b.in_flight_unique == 1
+        assert len(b._compressed_state()[0]) == 1
 
     def test_tree_mode_matches_lazy(self):
         g = np.random.default_rng(7)
@@ -79,7 +80,8 @@ class TestFinalize:
         b = _builder()
         b.accumulate_chunk(np.arange(10, dtype=np.float64))
         s0 = b.finalize()
-        assert b.in_flight_count == 0 and b.in_flight_unique == 0
+        uniq, counts = b._compressed_state()
+        assert counts.sum() == 0 and len(uniq) == 0
         b.accumulate_chunk(np.arange(10, 20, dtype=np.float64))
         s1 = b.finalize()
         assert s0.sub_id == 0 and s1.sub_id == 1
