@@ -17,10 +17,12 @@ Few-k merging (Section 4) overrides the Level-2 mean per quantile: sample-k
 when a burst was detected inside the window, else top-k when the quantile is
 statistically inefficient at this period (``P*(1-phi) < T_s``).
 
-:class:`SlidingMerge` is the one Level 2 of the kernel, the Spark few-k
-driver merge and the streaming handler: each feeds it the same summaries in
-``sub_id`` order, so their window estimates are bit-identical. Only the
-plain (no few-k) Spark path sums in SQL and agrees to ``rtol=1e-12``.
+:class:`SlidingMerge` is the one Level 2 of the kernel and the Spark few-k
+driver merge, fed the same summaries in ``sub_id`` order, so their window
+estimates are bit-identical. The streaming handler runs a
+:class:`QloveOperator`, so its estimates are the kernel's by construction.
+Only the plain (no few-k) Spark path sums in SQL and agrees to
+``rtol=1e-12``.
 """
 from __future__ import annotations
 
@@ -102,6 +104,8 @@ class SlidingMerge:
         # polls it per evaluation, and an O(n) walk would distort throughput
         # at large windows (n = 1000 sub-windows at a 1M/1K query).
         self.space = 0
+        # Each retained summary's space(), taken once at push.
+        self._spaces: deque[int] = deque(maxlen=self.n)
         self.next_sub_id = 0
         self._burst_phi = fewk.burst_phi
         self._detector = BurstDetector(alpha=burst_alpha)
@@ -119,12 +123,12 @@ class SlidingMerge:
                 summary.sample_k.get(self._burst_phi, np.empty(0))
             )
         if len(self.summaries) == self.n:
-            expired = self.summaries[0]
-            self.sums -= expired.quantiles  # Level-2 Deaccumulate
-            self.space -= expired.space()
+            self.sums -= self.summaries[0].quantiles  # Level-2 Deaccumulate
+            self.space -= self._spaces[0]
         self.summaries.append(summary)
+        self._spaces.append(summary.space())
         self.sums += summary.quantiles  # Level-2 Accumulate
-        self.space += summary.space()
+        self.space += self._spaces[-1]
         if len(self.summaries) < self.n:
             return None  # window not yet full
         return window_result(
@@ -155,6 +159,7 @@ class QloveOperator:
     ):
         self.spec = spec
         self.phis = tuple(phis)
+        self.sig_digits = sig_digits
         self.fewk = fewk or FewKConfig()
         self._builder = SubWindowBuilder(
             self.phis, sig_digits=sig_digits, fewk=self.fewk, l1_mode=l1_mode

@@ -4,8 +4,8 @@
 ``{value -> count}`` into its :class:`SubWindowSummary`: the exact
 phi-quantiles plus the raw-tail caches few-k merging needs. It is the one
 Level-1 ``ComputeResult`` of the repository: the kernel's
-:class:`SubWindowBuilder`, the Spark ``applyInArrow`` group function and
-the streaming state handler all call it, so their summaries are
+:class:`SubWindowBuilder` (which the streaming state handler runs) and the
+Spark ``applyInArrow`` group function both call it, so their summaries are
 bit-identical on the same input.
 
 :class:`SubWindowBuilder` maintains the in-flight state of the kernel. The

@@ -134,7 +134,7 @@ def run_and_evaluate(
                 events,
                 policy.spec,
                 policy.phis,
-                sig_digits=policy._builder.sig_digits,
+                sig_digits=policy.sig_digits,
                 fewk=policy.fewk,
             )
             .orderBy("w")

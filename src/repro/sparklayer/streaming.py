@@ -3,39 +3,24 @@
 This is the repro target's "hierarchical windowing quantile sketch as
 Structured Streaming stateful aggregation": events arrive as a stream of
 ``(stream_id, seq, value)`` micro-batches; per ``stream_id`` group,
-``applyInPandasWithState`` maintains QLOVE's state —
+``applyInPandasWithState`` runs the kernel's
+:class:`repro.core.qlove.QloveOperator` behind a reorder buffer on ``seq``
+and emits one row per completed window with its estimates. The handler
+only dedupes and reorders:
 
-  - ``inflight``: the in-flight sub-windows' frequency-compressed Level-1
-    states, keyed by ``sub_id``, each with a bitmap of the ``seq`` offsets
-    it has seen;
-  - ``summaries``: completed sub-windows summarized by
-    :func:`repro.core.subwindow.summarize` but not yet merged, because an
-    earlier sub-window is still in flight;
-  - ``merge``: the kernel's Level 2, :class:`repro.core.qlove.SlidingMerge`
-    (the last ``n`` summaries, running sums, burst detector) —
+  - only the first arrival of a ``seq`` counts (parked events before the
+    new batch, the first copy within a batch);
+  - an event with ``seq < next_seq`` was fed already and is dropped;
+  - the gap-free run starting at ``next_seq`` is fed to
+    ``observe_chunk``; the events behind a gap are parked until it fills.
 
-and emits one output row per *completed window* with the QLOVE estimates.
-After each micro-batch the handler pushes parked summaries into ``merge``
-while the next expected ``sub_id`` is among them, so the merge sees the
-summaries in ``sub_id`` order whatever order the micro-batches delivered
-them in (the file source does not forbid out-of-order delivery). Window
-estimates, burst flags included, are therefore bit-identical to the
-kernel's. Windows are emitted in ``w`` order: window ``w`` is emitted once
-every sub-window up to ``w`` has completed, not as soon as its own members
-have. For a stream whose sub-windows all arrive, the emitted set of
-windows is the kernel's.
-
-Events are deduplicated by ``seq`` (the group key is the stream): only the
-first arrival of a ``seq`` counts, and a sub-window completes when every
-one of its ``P`` offsets has arrived, so a duplicate can neither stall it
-nor complete it early. An event of a sub-window that is already merged or
-parked (a replay) is dropped without opening an in-flight entry. The
-estimates are then the kernel's on the deduplicated stream.
-
-State is held as one pickled binary column: the state is an arbitrary
-nested dict (freq maps, summary objects) and serializing it wholesale keeps
-the stateful contract in one place. ``merge`` retains ``n`` summaries like
-the kernel operator, and ``summaries`` only those completed ahead of a gap.
+So the estimates are the kernel's on the deduplicated stream by
+construction, and each window is emitted once, in ``w`` order. The state
+is one pickled binary column: ``next_seq``, the parked ``seq``/``value``
+arrays (ascending) and the operator (``n`` summaries and the in-flight
+period). Trade-off: events behind a gap are parked raw, 16 bytes each, so
+a lost event grows the buffer without bound. In-order delivery parks
+nothing.
 """
 from __future__ import annotations
 
@@ -48,10 +33,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from pyspark.sql.types import BinaryType, StructField, StructType
 
-from repro.core.compression import quantize_sig
 from repro.core.fewk import FewKConfig
-from repro.core.qlove import SlidingMerge
-from repro.core.subwindow import summarize
+from repro.core.qlove import QloveOperator
 from repro.streams.windows import WindowSpec
 
 __all__ = ["qlove_streaming", "OUTPUT_SCHEMA", "STATE_SCHEMA"]
@@ -72,7 +55,6 @@ def make_handler(
 ):
     """Build the applyInPandasWithState handler closure."""
     phis = tuple(phis)
-    cfg = fewk or FewKConfig()
 
     def handler(
         key: tuple, pdfs: Iterable[pd.DataFrame], state: GroupState
@@ -81,53 +63,39 @@ def make_handler(
             st = pickle.loads(bytes(state.get[0]))
         else:
             st = {
-                "inflight": {},
-                "summaries": {},
-                "merge": SlidingMerge(spec, phis, cfg, burst_alpha),
+                "next_seq": 0,
+                "seq": np.empty(0, dtype=np.int64),
+                "value": np.empty(0, dtype=np.float64),
+                "op": QloveOperator(
+                    spec, phis, sig_digits=sig_digits, fewk=fewk, burst_alpha=burst_alpha
+                ),
             }
-        merge = st["merge"]
-        for pdf in pdfs:
-            seq = pdf["seq"].to_numpy(dtype=np.int64)
-            values = pdf["value"].to_numpy(dtype=np.float64)
-            if sig_digits is not None:
-                values = quantize_sig(values, sig_digits)
-            sub_ids = seq // spec.period
-            for s_id in np.unique(sub_ids).tolist():
-                if s_id < merge.next_sub_id or s_id in st["summaries"]:
-                    continue  # replay of a sub-window already merged or parked
-                in_sub = np.flatnonzero(sub_ids == s_id)
-                entry = st["inflight"].setdefault(
-                    s_id, {"freq": {}, "seen": np.zeros(spec.period, dtype=bool)}
-                )
-                # Only the first arrival of each seq counts: the first in
-                # this batch, and only if no earlier batch delivered it.
-                offsets, first = np.unique(seq[in_sub] - s_id * spec.period, return_index=True)
-                new = ~entry["seen"][offsets]
-                entry["seen"][offsets[new]] = True
-                uniq, counts = np.unique(values[in_sub[first[new]]], return_counts=True)
-                for v, c in zip(uniq.tolist(), counts.tolist()):
-                    entry["freq"][v] = entry["freq"].get(v, 0) + c
-                if entry["seen"].all():  # every seq of the sub-window is in
-                    freq = st["inflight"].pop(s_id)["freq"]
-                    vals = np.fromiter(freq.keys(), dtype=np.float64, count=len(freq))
-                    freqs = np.fromiter(freq.values(), dtype=np.int64, count=len(freq))
-                    order = np.argsort(vals)
-                    st["summaries"][s_id] = summarize(
-                        vals[order], freqs[order], phis, cfg, s_id
-                    )
-        results = []
-        while merge.next_sub_id in st["summaries"]:
-            summary = st["summaries"].pop(merge.next_sub_id)
-            res = merge.push(summary)
-            if res is not None:
-                results.append((summary.sub_id, [res[p] for p in phis]))
+        pdfs = list(pdfs)
+        seq = np.concatenate([st["seq"], *(p["seq"].to_numpy(dtype=np.int64) for p in pdfs)])
+        values = np.concatenate(
+            [st["value"], *(p["value"].to_numpy(dtype=np.float64) for p in pdfs)]
+        )
+        # np.unique's return_index is stable: the first arrival of a seq wins.
+        seq, first = np.unique(seq, return_index=True)
+        values = values[first]
+        new = seq >= st["next_seq"]  # the rest are replays
+        seq, values = seq[new], values[new]
+        # seq is ascending and unique, so seq[i] - i is non-decreasing and
+        # equals next_seq exactly on the run without a gap.
+        run = int(np.searchsorted(seq - np.arange(len(seq)), st["next_seq"], side="right"))
+        results = st["op"].observe_chunk(values[:run])
+        st["next_seq"] += run
+        st["seq"], st["value"] = seq[run:], values[run:]
         state.update((pickle.dumps(st),))
         if results:
+            # The operator has completed next_seq // P sub-windows; the
+            # results are the windows ending at the last len(results) of them.
+            last_w = st["next_seq"] // spec.period - 1
             yield pd.DataFrame(
                 {
                     "stream_id": [str(key[0])] * len(results),
-                    "w": [w for w, _ in results],
-                    "estimates": [est for _, est in results],
+                    "w": list(range(last_w - len(results) + 1, last_w + 1)),
+                    "estimates": [[res[p] for p in phis] for res in results],
                 }
             )
 

@@ -299,3 +299,23 @@ class TestSpace:
         op = QloveOperator(spec, (0.5, 0.9, 0.99, 0.999))
         op.observe_chunk(stream)
         assert 0 < op.space_observed() < op.space_analytical()
+
+    def test_sliding_merge_space_tracks_retained_summaries(self):
+        from repro.core.qlove import SlidingMerge
+        from repro.core.summary import SubWindowSummary
+
+        spec = WindowSpec(size=400, period=100)
+        merge = SlidingMerge(spec, (0.5, 0.99), FewKConfig())
+        for i in range(3 * spec.n_subwindows + 1):
+            # Caches of varying length, as a short sub-window's tail gives.
+            merge.push(
+                SubWindowSummary(
+                    sub_id=i,
+                    count=100,
+                    quantiles=np.array([1.0, 2.0]),
+                    top_k={0.99: np.arange(i % 5, dtype=np.float64)},
+                    sample_k={0.99: np.arange((3 * i) % 7, dtype=np.float64)},
+                )
+            )
+            assert merge.space == sum(s.space() for s in merge.summaries)
+        assert len(merge.summaries) == spec.n_subwindows

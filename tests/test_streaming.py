@@ -75,8 +75,9 @@ class TestStreamingQlove:
         rows = _run_streaming(spark, tmp_path, SPEC, PHIS, "qlove_stream_plain")
         kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
         assert len(rows) == len(kernel) == SPEC.n_evaluations(6_000)
-        for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+        np.testing.assert_array_equal(
+            [row.estimates for row in rows], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     def test_subwindow_split_across_batches(self, spark, tmp_path):
         # 8 files of 500 elements with period 500 — but shift so files do
@@ -95,8 +96,9 @@ class TestStreamingQlove:
         rows = _run_streaming(spark, tmp_path, SPEC, PHIS, "qlove_stream_split")
         kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
         assert len(rows) == len(kernel)
-        for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+        np.testing.assert_array_equal(
+            [row.estimates for row in rows], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     def test_fewk_matches_kernel(self, spark, tmp_path):
         stream = inject_burst(
@@ -115,8 +117,9 @@ class TestStreamingQlove:
         )
         kernel = QloveOperator(SPEC, PHIS, fewk=cfg).observe_chunk(stream)
         assert len(rows) == len(kernel)
-        for row, res in zip(rows, kernel):
-            np.testing.assert_allclose(row.estimates, [res[p] for p in PHIS], rtol=1e-12)
+        np.testing.assert_array_equal(
+            [row.estimates for row in rows], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     def test_multiple_stream_ids_isolated(self, spark, tmp_path):
         s_a, s_b = netmon(2_000, seed=3), netmon(2_000, seed=4)
@@ -138,8 +141,8 @@ class TestStreamingQlove:
         for sid, stream in (("a", s_a), ("b", s_b)):
             kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
             assert len(by_stream[sid]) == len(kernel) == 1
-            np.testing.assert_allclose(
-                by_stream[sid][0].estimates, [kernel[0][p] for p in PHIS], rtol=1e-12
+            np.testing.assert_array_equal(
+                by_stream[sid][0].estimates, [kernel[0][p] for p in PHIS]
             )
 
 
@@ -173,7 +176,7 @@ class TestHandlerUnit:
 
     def _assert_kernel_and_clean(self, outs, state, stream):
         """Every window of ``stream`` emitted once, bit-identical to the
-        kernel's, and no sub-window left in flight or parked."""
+        kernel's, and nothing left parked."""
         kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
         first = SPEC.n_subwindows - 1
         assert [int(w) for o in outs for w in o["w"]] == list(range(first, first + len(kernel)))
@@ -181,9 +184,15 @@ class TestHandlerUnit:
             [est for o in outs for est in o["estimates"]],
             [[res[p] for p in PHIS] for res in kernel],
         )
+        self._assert_drained(state, len(stream))
+
+    def _assert_drained(self, state, next_seq):
+        """Nothing parked, ``next_seq`` events fed to the operator and at
+        most ``n`` summaries retained by it."""
         st_ = pickle.loads(bytes(state.get[0]))
-        assert st_["inflight"] == {} and st_["summaries"] == {}
-        assert st_["merge"].next_sub_id == len(stream) // SPEC.period
+        assert len(st_["seq"]) == len(st_["value"]) == 0
+        assert st_["next_seq"] == next_seq
+        assert len(st_["op"]._merge.summaries) <= SPEC.n_subwindows
 
     def test_emits_once_per_window(self):
         stream = netmon(3_000, seed=5)
@@ -207,8 +216,9 @@ class TestHandlerUnit:
         assert sorted(ws) == [3, 4]
         kernel = QloveOperator(SPEC, PHIS).observe_chunk(stream)
         got = {int(w): est for o in outs for w, est in zip(o["w"], o["estimates"])}
-        for i, res in enumerate(kernel):
-            np.testing.assert_allclose(got[3 + i], [res[p] for p in PHIS], rtol=1e-12)
+        np.testing.assert_array_equal(
+            [got[3 + i] for i in range(len(kernel))], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     def test_fewk_out_of_order_matches_kernel(self):
         # Bursts sit in sub-windows 0, 4 and 8. Sub-windows 4..7 (one split
@@ -233,8 +243,9 @@ class TestHandlerUnit:
         got = {int(w): est for o in outs for w, est in zip(o["w"], o["estimates"])}
         kernel = QloveOperator(SPEC, PHIS, fewk=cfg).observe_chunk(stream)
         assert sorted(got) == list(range(3, 3 + len(kernel)))
-        for i, res in enumerate(kernel):
-            np.testing.assert_allclose(got[3 + i], [res[p] for p in PHIS], rtol=1e-12)
+        np.testing.assert_array_equal(
+            [got[3 + i] for i in range(len(kernel))], [[res[p] for p in PHIS] for res in kernel]
+        )
 
     @pytest.mark.parametrize("fewk", [False, True], ids=["plain", "fewk"])
     def test_ar1_bit_identical_to_kernel(self, fewk):
@@ -273,12 +284,7 @@ class TestHandlerUnit:
         state = self._FakeState()
         for lo in range(0, 10_000, 500):
             self._feed(handler, state, stream, lo, lo + 500)
-        st = pickle.loads(bytes(state.get[0]))
-        # bounded state: the merge retains n summaries, nothing is parked
-        assert len(st["merge"].summaries) <= SPEC.n_subwindows
-        assert st["merge"].next_sub_id == 20
-        assert len(st["summaries"]) == 0
-        assert len(st["inflight"]) == 0
+        self._assert_drained(state, 10_000)
 
     def test_replayed_subwindow_dropped(self):
         stream = netmon(3_000, seed=8)
@@ -289,9 +295,24 @@ class TestHandlerUnit:
             outs.extend(self._feed(handler, state, stream, lo, lo + 500))
         assert [int(w) for o in outs for w in o["w"]] == [3, 4, 5]
         assert self._feed(handler, state, stream, 0, 500) == []
-        st = pickle.loads(bytes(state.get[0]))
-        assert len(st["summaries"]) == 0 and len(st["inflight"]) == 0
-        assert st["merge"].next_sub_id == 6
+        self._assert_drained(state, 3_000)
+
+    def test_held_back_subwindow_parks_events_after_gap(self):
+        # Sub-window 1 is held back: nothing is emitted, and exactly the
+        # events after the gap are parked, until it arrives.
+        stream = netmon(3_500, seed=15)
+        handler = make_handler(SPEC, PHIS)
+        state = self._FakeState()
+        outs = self._feed(handler, state, stream, 0, 500)
+        for lo in range(1_000, 3_500, 500):
+            outs.extend(self._feed(handler, state, stream, lo, lo + 500))
+            assert outs == []
+            st_ = pickle.loads(bytes(state.get[0]))
+            assert st_["next_seq"] == 500
+            np.testing.assert_array_equal(st_["seq"], np.arange(1_000, lo + 500))
+            np.testing.assert_array_equal(st_["value"], stream[1_000 : lo + 500])
+        outs.extend(self._feed(handler, state, stream, 500, 1_000))
+        self._assert_kernel_and_clean(outs, state, stream)
 
     def test_duplicate_event_in_batch_counts_once(self):
         # Seq 700 arrives twice in one batch; the second copy carries
