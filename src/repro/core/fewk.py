@@ -135,7 +135,9 @@ def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray
     the top-``big_k`` prefix). Picks every ``i``-th ranked value with
     ``i = floor(big_k / k_s)`` starting at rank ``i`` (1-indexed) — for
     ``i=2`` that is "all even ranked values" as in Section 4.2, and for
-    ``alpha = 1`` it degenerates to the full top-``big_k`` prefix.
+    ``alpha = 1`` it degenerates to the full top-``big_k`` prefix. The
+    result is a new array, so a cached sample never keeps ``ranked_desc``
+    alive.
     """
     if k_s <= 0 or big_k <= 0:
         return np.empty(0, dtype=np.float64)
@@ -146,7 +148,7 @@ def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray
     # i=1 whenever k_s > big_k/2) is not interval sampling and biases the
     # merged estimate upward; ranks i, 2i, 3i, ... keep the thinning even.
     i = max(1, round(big_k / k_s))
-    return prefix[i - 1 :: i][:k_s]
+    return prefix[i - 1 :: i][:k_s].copy()
 
 
 def _kth_largest(values: np.ndarray, rank: int) -> float:

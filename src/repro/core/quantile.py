@@ -11,6 +11,7 @@ pipeline, and the DuckDB oracle SQL agree bit-for-bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -50,10 +51,25 @@ def kth_largest_count(phi: float, n: int) -> int:
     return n - rank_of(phi, n) + 1
 
 
-def exact_quantiles_sorted(sorted_values: np.ndarray, phis: Sequence[float]) -> np.ndarray:
-    """Exact phi-quantiles of an ascending-sorted array, paper convention."""
-    n = len(sorted_values)
+@functools.lru_cache(maxsize=128)
+def _quantile_index(phis: tuple[float, ...], n: int) -> np.ndarray:
+    """0-based positions of the phi-quantiles among n sorted elements.
+
+    Cached because a stream asks for the same quantiles of equally sized
+    sub-windows over and over; the array is read-only as every caller
+    shares it.
+    """
     idx = np.array([rank_of(p, n) - 1 for p in phis], dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
+
+
+def exact_quantiles_sorted(sorted_values: np.ndarray, phis: Sequence[float]) -> np.ndarray:
+    """Exact phi-quantiles of an ascending-sorted array, paper convention.
+
+    Returns a new array: it shares no memory with ``sorted_values``.
+    """
+    idx = _quantile_index(tuple(phis), len(sorted_values))
     return np.asarray(sorted_values, dtype=np.float64)[idx]
 
 

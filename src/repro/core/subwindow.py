@@ -1,19 +1,21 @@
 """Level-1 tumbling sub-windows (Algorithm 1).
 
-:func:`summarize` turns a sub-window's frequency-compressed state
-``{value -> count}`` into its :class:`SubWindowSummary`: the exact
-phi-quantiles plus the raw-tail caches few-k merging needs. It is the one
-Level-1 ``ComputeResult`` of the repository: the kernel's
-:class:`SubWindowBuilder` (which the streaming state handler runs) and the
-Spark ``applyInArrow`` group function both call it, so their summaries are
+:func:`summarize` turns a sub-window's values, sorted ascending with their
+multiplicity, into its :class:`SubWindowSummary`: the exact phi-quantiles
+plus the raw-tail caches few-k merging needs. The sorted array is the
+in-order traversal of the paper's ``{value -> count}`` tree, so every
+answer is an index or a slice into it. It is the one Level-1
+``ComputeResult`` of the repository: the kernel's :class:`SubWindowBuilder`
+(which the streaming state handler runs), the Spark ``applyInArrow`` group
+function and the Spark exact reference all call it, so their summaries are
 bit-identical on the same input.
 
 :class:`SubWindowBuilder` maintains the in-flight state of the kernel. The
 paper keeps the state in a red-black tree to stay sorted under per-element
-inserts; in Python a hash map plus one sort at ``ComputeResult`` has the
-same per-unique-value asymptotics (O(u log u) per sub-window vs O(P log u)
-amortized) and the identical output, so that is what we use. Values arrive
-in chunks (:meth:`SubWindowBuilder.accumulate_chunk`).
+inserts; in Python buffering the values and sorting them once at
+``ComputeResult`` gives the identical output, so that is what the default
+``lazy`` mode does. Values arrive in chunks
+(:meth:`SubWindowBuilder.accumulate_chunk`).
 """
 from __future__ import annotations
 
@@ -23,36 +25,32 @@ import numpy as np
 
 from repro.core.compression import quantize_sig
 from repro.core.fewk import FewKConfig, interval_sample
-from repro.core.quantile import exact_quantiles_freq, sorted_runs
+from repro.core.quantile import exact_quantiles_sorted
 from repro.core.summary import SubWindowSummary
 
 __all__ = ["SubWindowBuilder", "summarize"]
 
 
 def summarize(
-    uniq: np.ndarray,
-    counts: np.ndarray,
+    sorted_values: np.ndarray,
     phis: Sequence[float],
     fewk: FewKConfig,
     sub_id: int,
 ) -> SubWindowSummary:
-    """Summary of one sub-window from its ascending frequency state.
+    """Summary of one sub-window from its ascending sorted values.
 
-    ``uniq`` holds the sub-window's distinct values in ascending order and
-    ``counts`` their multiplicities. Returns the exact phi-quantiles plus,
-    per few-k budget, the top-``k_t`` cache and the interval samples of the
-    top-``K`` values (both descending, with multiplicity).
+    ``sorted_values`` holds every value of the sub-window, duplicates
+    included, in ascending order. Returns the exact phi-quantiles plus, per
+    few-k budget, the top-``k_t`` cache and the interval samples of the
+    top-``K`` values (both descending, with multiplicity). No returned
+    array shares memory with ``sorted_values``, so a retained summary never
+    keeps the whole sub-window alive.
     """
     top_k: dict[float, np.ndarray] = {}
     sample_k: dict[float, np.ndarray] = {}
     k = fewk.max_tail
     if k > 0:
-        # Only the largest uniques whose counts cover k are expanded; each
-        # unique counts at least once, so they are among the top k.
-        tail_vals = uniq[::-1][:k]
-        tail_counts = counts[::-1][:k]
-        m = int(np.searchsorted(np.cumsum(tail_counts), k)) + 1
-        ranked_desc = np.repeat(tail_vals[:m], tail_counts[:m])[:k]
+        ranked_desc = sorted_values[: -k - 1 : -1]  # a view: the k largest, descending
         for b in fewk.budgets:
             if b.k_t > 0:
                 top_k[b.phi] = ranked_desc[: b.k_t].copy()
@@ -60,11 +58,23 @@ def summarize(
                 sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
     return SubWindowSummary(
         sub_id=sub_id,
-        count=int(counts.sum()),
-        quantiles=exact_quantiles_freq(uniq, counts, phis),
+        count=len(sorted_values),
+        quantiles=exact_quantiles_sorted(sorted_values, phis),
         top_k=top_k,
         sample_k=sample_k,
     )
+
+
+def _unique_count(sorted_values: np.ndarray) -> int:
+    """Number of distinct values in an ascending array, as ``np.unique``
+    counts them: ``-0.0`` equals ``0.0`` and all NaNs (sorted last) are one
+    value."""
+    s = sorted_values
+    n = len(s)
+    if n and np.isnan(s[-1]):
+        n = int(np.searchsorted(s, np.nan))  # the first NaN
+        return _unique_count(s[:n]) + 1
+    return int(np.count_nonzero(s[1:] != s[:-1])) + (n > 0)
 
 
 class SubWindowBuilder:
@@ -91,12 +101,11 @@ class SubWindowBuilder:
         self.fewk = fewk or FewKConfig()
         self.l1_mode = l1_mode
         self._freq: dict[float, int] = {}
-        # "lazy" mode: chunked arrivals are buffered raw and
-        # frequency-compressed at finalize (one np.unique per sub-window) —
-        # the tumbling Level-1 never needs a running ordered state, and
-        # skipping it is QLOVE's batch-discard advantage. "tree" mode keeps
-        # the paper's running {value -> count} map instead, whose per-chunk
-        # cost scales with the number of *unique* values — the
+        # "lazy" mode: chunked arrivals are buffered raw and sorted once at
+        # finalize — the tumbling Level-1 never needs a running ordered
+        # state, and skipping it is QLOVE's batch-discard advantage. "tree"
+        # mode keeps the paper's running {value -> count} map instead, whose
+        # per-chunk cost scales with the number of *unique* values — the
         # redundancy-sensitive cost model of Sections 3.2 / 5.4.
         self._pending: list[np.ndarray] = []
         self._count = 0
@@ -130,31 +139,25 @@ class SubWindowBuilder:
             self._pending.append(values)
         self._count += len(values)
 
-    def _compressed_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current frequency state as ascending (unique, counts) arrays."""
+    def _sorted_state(self) -> np.ndarray:
+        """Current sub-window's values, sorted ascending with multiplicity."""
         parts = list(self._pending)
         if self._freq:
             keys = np.fromiter(self._freq.keys(), dtype=np.float64, count=len(self._freq))
             cnts = np.fromiter(self._freq.values(), dtype=np.int64, count=len(self._freq))
             parts.append(np.repeat(keys, cnts))
         if not parts:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        s = np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        if np.isnan(s[-1]):  # NaN sorts last; np.unique folds the NaNs into one
-            return np.unique(s, return_counts=True)
-        # Run-length encoding of the sorted values: np.unique's own steps,
-        # without its second copy.
-        starts, counts = sorted_runs(s)
-        return s[starts], counts
+            return np.empty(0)
+        return np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
     # -- ComputeResult ----------------------------------------------------
     def finalize(self) -> SubWindowSummary:
         """Complete the in-flight sub-window: exact quantiles + tail caches."""
         if self._count == 0:
             raise ValueError("finalize() on an empty sub-window")
-        uniq, counts = self._compressed_state()
-        summary = summarize(uniq, counts, self.phis, self.fewk, self._next_sub_id)
-        self.last_unique = len(uniq)
+        s = self._sorted_state()
+        summary = summarize(s, self.phis, self.fewk, self._next_sub_id)
+        self.last_unique = _unique_count(s)
         self._next_sub_id += 1
         self._reset()
         return summary

@@ -60,7 +60,7 @@ def exact_window_quantiles(
         # A whole window's exact quantiles are its summary as one sub-window.
         order = np.argsort(values)
         w = int(pdf["w"].iloc[0])
-        q = summarize(values[order], freqs[order], phis, FewKConfig(), w).quantiles
+        q = summarize(np.repeat(values[order], freqs[order]), phis, FewKConfig(), w).quantiles
         return pd.DataFrame({"w": [w], "estimates": [q.tolist()]})
 
     return state.groupBy("w").applyInPandas(

@@ -6,11 +6,12 @@ Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
 computed per sub-window with ``applyInArrow`` over that state — one Arrow
 group per sub-window, embarrassingly parallel across sub-windows.
 
-The group function calls the kernel's
-:func:`repro.core.subwindow.summarize`, so every summary is bit-identical
-to the one :class:`repro.core.subwindow.SubWindowBuilder` emits for the
-same sub-window (tested in ``tests/test_spark_level1.py``). This module
-alone knows the row format of :data:`SUMMARY_SCHEMA`:
+The group function expands the group's ``(value, freq)`` rows into the
+sub-window's sorted values (``np.repeat``, at most ``P`` floats) and calls
+the kernel's :func:`repro.core.subwindow.summarize`, so every summary is
+bit-identical to the one :class:`repro.core.subwindow.SubWindowBuilder`
+emits for the same sub-window (tested in ``tests/test_spark_level1.py``).
+This module alone knows the row format of :data:`SUMMARY_SCHEMA`:
 :func:`row_to_summary` decodes what the group function encodes.
 """
 from __future__ import annotations
@@ -125,7 +126,7 @@ def subwindow_summaries(
         freqs = table.column("freq").to_numpy().astype(np.int64, copy=False)
         order = np.argsort(values)
         sub_id = table.column("sub_id")[0].as_py()
-        s = summarize(values[order], freqs[order], phis, cfg, sub_id)
+        s = summarize(np.repeat(values[order], freqs[order]), phis, cfg, sub_id)
         return pa.Table.from_pylist([_summary_to_row(s, cfg)], schema=_SUMMARY_ARROW_SCHEMA)
 
     return state.groupBy("sub_id").applyInArrow(group_summary, SUMMARY_SCHEMA)

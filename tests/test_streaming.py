@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import subwindow
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
 from repro.sparklayer.streaming import make_handler, qlove_streaming
@@ -360,6 +361,37 @@ class TestHandlerUnit:
         for lo, hi in [(0, 500), (1000, 1500), (1100, 1200), (500, 1000), (1500, 3000)]:
             outs.extend(self._feed(handler, state, stream, lo, hi))
         self._assert_kernel_and_clean(outs, state, stream)
+
+    def test_tail_caches_share_no_memory_with_period(self, monkeypatch):
+        # k_s = 11 < K = 21: each sample-k cache takes every 2nd value of
+        # the tail prefix, a strided view into the sorted period unless it
+        # is copied out, which would keep P floats alive per summary.
+        cfg = FewKConfig.from_fraction(
+            window_size=SPEC.size, period=SPEC.period, phis=[0.99],
+            top_fraction=0.25, sample_fraction=0.5,
+        )
+        periods = []
+        summarize = subwindow.summarize
+
+        def recording(sorted_values, *args):
+            periods.append(sorted_values)
+            return summarize(sorted_values, *args)
+
+        monkeypatch.setattr(subwindow, "summarize", recording)
+        stream = netmon(3_000, seed=16)
+        op = QloveOperator(SPEC, PHIS, fewk=cfg)
+        op.observe_chunk(stream)
+        handler = make_handler(SPEC, PHIS, fewk=cfg)
+        state = self._FakeState()
+        self._feed(handler, state, stream, 0, 3_000)
+        decoded = pickle.loads(bytes(state.get[0]))["op"]._merge.summaries
+        summaries = [*op._merge.summaries, *decoded]
+        assert len(summaries) == 2 * SPEC.n_subwindows and len(periods) == 12
+        for s in summaries:
+            caches = [*s.top_k.values(), *s.sample_k.values()]
+            assert len(caches) == 2
+            for cache in caches:
+                assert not any(np.shares_memory(cache, p) for p in periods)
 
     @given(
         cuts=st.lists(st.integers(min_value=1, max_value=2_999), max_size=12),

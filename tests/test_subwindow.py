@@ -1,10 +1,13 @@
 """Unit tests for the Level-1 sub-window builder (core/subwindow.py)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.fewk import FewKConfig, PhiBudget
-from repro.core.quantile import exact_quantiles
-from repro.core.subwindow import SubWindowBuilder
+from repro.core.fewk import FewKConfig, PhiBudget, interval_sample
+from repro.core.quantile import exact_quantiles, exact_quantiles_freq
+from repro.core.subwindow import SubWindowBuilder, summarize
+from repro.core.summary import SubWindowSummary
 
 
 def _builder(phis=(0.5, 0.9, 0.99), **kw):
@@ -15,14 +18,16 @@ class TestAccumulate:
     def test_unique_tracking(self):
         b = _builder()
         b.accumulate_chunk(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]))
-        uniq, counts = b._compressed_state()
-        assert counts.sum() == 6
-        assert len(uniq) == 3
+        assert len(b._sorted_state()) == 6
+        b.finalize()
+        assert b.last_unique == 3
 
     def test_quantization_applied(self):
         b = _builder(sig_digits=2)
         b.accumulate_chunk(np.array([74_265.0, 74_123.0]))  # both quantize to 74,000
-        assert len(b._compressed_state()[0]) == 1
+        assert b._sorted_state().tolist() == [74_000.0, 74_000.0]
+        b.finalize()
+        assert b.last_unique == 1
 
     def test_tree_mode_matches_lazy(self):
         g = np.random.default_rng(7)
@@ -49,14 +54,20 @@ class TestAccumulate:
         b = _builder(l1_mode=l1_mode)
         for part in parts:
             b.accumulate_chunk(np.array(part))
-        uniq, counts = b._compressed_state()
-        want_uniq, want_counts = np.unique(np.concatenate(parts), return_counts=True)
+        s = b._sorted_state()
+        values = np.concatenate(parts)
         if l1_mode == "lazy":  # bit for bit, the sign of zero included
-            np.testing.assert_array_equal(uniq.view(np.int64), want_uniq.view(np.int64))
+            np.testing.assert_array_equal(s.view(np.int64), np.sort(values).view(np.int64))
         else:  # the tree's dict keeps the first of -0.0 and 0.0 it saw
-            np.testing.assert_array_equal(uniq, want_uniq)
+            np.testing.assert_array_equal(s, np.sort(values))
+        # Its frequency state is np.unique's, and so is the unique count
+        # space accounting reads: ties, -0.0 == 0.0 and one NaN.
+        uniq, counts = np.unique(s, return_counts=True)
+        want_uniq, want_counts = np.unique(values, return_counts=True)
+        np.testing.assert_array_equal(uniq, want_uniq)
         np.testing.assert_array_equal(counts, want_counts)
-        assert counts.dtype == want_counts.dtype
+        b.finalize()
+        assert b.last_unique == len(want_uniq)
 
     def test_invalid_l1_mode(self):
         with pytest.raises(ValueError):
@@ -80,8 +91,7 @@ class TestFinalize:
         b = _builder()
         b.accumulate_chunk(np.arange(10, dtype=np.float64))
         s0 = b.finalize()
-        uniq, counts = b._compressed_state()
-        assert counts.sum() == 0 and len(uniq) == 0
+        assert len(b._sorted_state()) == 0
         b.accumulate_chunk(np.arange(10, 20, dtype=np.float64))
         s1 = b.finalize()
         assert s0.sub_id == 0 and s1.sub_id == 1
@@ -152,3 +162,69 @@ class TestTailCaches:
         b.accumulate_chunk(np.arange(100, dtype=np.float64))
         s = b.finalize()
         assert s.space() == 2 + 4 + 2
+
+
+def _summarize_freq(uniq, counts, phis, fewk, sub_id):
+    """The run-length form of :func:`summarize`, kept as its reference:
+    ascending ``uniq`` with ``counts``; the tail prefix is rebuilt from the
+    largest uniques whose counts cover ``max_tail``."""
+    top_k, sample_k = {}, {}
+    k = fewk.max_tail
+    if k > 0:
+        tail_vals = uniq[::-1][:k]
+        tail_counts = counts[::-1][:k]
+        m = int(np.searchsorted(np.cumsum(tail_counts), k)) + 1
+        ranked_desc = np.repeat(tail_vals[:m], tail_counts[:m])[:k]
+        for b in fewk.budgets:
+            if b.k_t > 0:
+                top_k[b.phi] = ranked_desc[: b.k_t].copy()
+            if b.k_s > 0:
+                sample_k[b.phi] = interval_sample(ranked_desc, b.k_s, b.big_k)
+    return SubWindowSummary(
+        sub_id=sub_id,
+        count=int(counts.sum()),
+        quantiles=exact_quantiles_freq(uniq, counts, phis),
+        top_k=top_k,
+        sample_k=sample_k,
+    )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestSummarizeSorted:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_unique=st.integers(min_value=1, max_value=60),  # 1: a single unique value
+        max_count=st.sampled_from([1, 3, 50]),  # 50: heavy ties
+        budgets=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),  # k_t
+                st.integers(min_value=0, max_value=40),  # k_s
+                st.integers(min_value=1, max_value=400),  # big_k, past P for small P
+            ),
+            min_size=0,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_run_length_reference(self, seed, n_unique, max_count, budgets):
+        g = np.random.default_rng(seed)
+        uniq = np.unique(g.normal(0, 1e3, n_unique).round(1))
+        counts = g.integers(1, max_count + 1, len(uniq))
+        phis = (0.01, 0.5, 0.9, 0.99, 0.999, 1.0)
+        fewk = FewKConfig(
+            budgets=tuple(
+                PhiBudget(phi=phi, big_k=big_k, k_t=min(k_t, big_k), k_s=min(k_s, big_k))
+                for phi, (k_t, k_s, big_k) in zip((0.99, 0.999), budgets)
+            )
+        )
+        got = summarize(np.repeat(uniq, counts), phis, fewk, 7)
+        want = _summarize_freq(uniq, counts, phis, fewk, 7)
+        assert got.sub_id == want.sub_id and got.count == want.count
+        np.testing.assert_array_equal(_bits(got.quantiles), _bits(want.quantiles))
+        for caches, want_caches in ((got.top_k, want.top_k), (got.sample_k, want.sample_k)):
+            assert caches.keys() == want_caches.keys()
+            for phi in caches:
+                np.testing.assert_array_equal(_bits(caches[phi]), _bits(want_caches[phi]))
