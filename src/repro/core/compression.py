@@ -23,6 +23,10 @@ __all__ = ["quantize_sig", "max_relative_error"]
 _POW10_DIGITS = 17
 _POW10_LO = -324 - (_POW10_DIGITS - 1)
 _POW10 = np.power(10.0, np.arange(_POW10_LO, 309, dtype=np.float64))
+# Below this magnitude a scale 10^(floor(log10|v|) - digits + 1) can
+# underflow to 0.0 (for digits <= _POW10_DIGITS); such values take the
+# masked path, which keeps them unchanged.
+_FAST_MIN = 1e-290
 
 
 def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
@@ -30,16 +34,18 @@ def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
 
     Works element-wise on positive/negative/zero float or int arrays and
     returns float64. Examples (digits=3): 74265 -> 74200, 1247 -> 1240,
-    798 -> 798, 0.012345 -> 0.0123.
+    798 -> 798, 0.012345 -> 0.0123. A subnormal too small to scale
+    (``10^(floor(log10|v|) - digits + 1)`` underflows to 0.0, e.g. 5e-324)
+    is returned unchanged.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
-    # Fast path: no zero and no non-finite value (NaN fails both tests), so
-    # no mask is needed and the scale is a table lookup. A 0-d input takes
-    # the masked path, which keeps it an array.
-    if digits <= _POW10_DIGITS and v.ndim and v.size and a.min() > 0 and a.max() < np.inf:
+    # Fast path: no zero, no non-finite value (NaN fails both tests) and no
+    # scale that underflows, so no mask is needed and the scale is a table
+    # lookup. A 0-d input takes the masked path, which keeps it an array.
+    if digits <= _POW10_DIGITS and v.ndim and v.size and a.min() >= _FAST_MIN and a.max() < np.inf:
         idx = np.floor(np.log10(a)).astype(np.intp)
         idx -= digits - 1 + _POW10_LO
         scale = _POW10[idx]
@@ -60,7 +66,9 @@ def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
     # exact decade boundary just below its integer ratio (e.g. 1.0 / 0.1 =
     # 9.999...), which would otherwise truncate away a significant digit.
     ratio = np.abs(v[nz]) / scale * (1.0 + 1e-10)
-    out[nz] = np.sign(v[nz]) * np.trunc(ratio) * scale
+    # Where the scale underflows to 0.0 (the smallest subnormals), the ratio
+    # is inf and trunc(inf) * 0.0 NaN: such a value is kept unchanged.
+    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * np.trunc(ratio) * scale)
     return out
 
 

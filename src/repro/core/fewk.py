@@ -15,9 +15,22 @@ largest elements (the paper writes ``N(1-phi)``). Under a space budget
     ``alpha = k_s / K`` (every ``i``-th ranked value, ``i ~ 1/alpha``).
 
 Merging (window level):
-  - top-k: concatenate all in-window top-k caches, answer = K-th largest.
-  - sample-k: concatenate all in-window samples, answer = ceil(alpha*K)-th
-    largest (rank scaled down by the sampling fraction).
+  - top-k: the K-th largest of all in-window top-k caches.
+  - sample-k: the ceil(alpha*K)-th largest of all in-window samples (rank
+    scaled down by the sampling fraction).
+
+Level 2 does not re-merge the window on every slide. Cached values are
+quantized (Section 3.1) and heavily tied, so the answer rarely moves from
+one window to the next. For each cache kind of each phi, a
+:class:`TailCounts` keeps the last answer ``g`` and the window's count of
+cached values, of those ``<= g`` and of those ``== g``; a slide recounts
+only the entering and the leaving cache, in O(k). While the new rank still
+lands among the values equal to ``g`` the answer is ``g`` and no cache is
+read; otherwise the caches are merged once and the selection starts from
+``g``. The selected float is the one a full selection gives, so estimates
+do not change. :class:`WindowTails` holds these counts for one window, and
+:func:`topk_merge` / :func:`samplek_merge` without them do the full
+selection.
 
 The experiment tables parameterize both by a *fraction* ``f`` of the exact
 guarantee: ``k_t = ceil(f*K)`` (Table 3) or ``k_s = ceil(f*K)`` (Table 4);
@@ -26,16 +39,21 @@ guarantee: ``k_t = ceil(f*K)`` (Table 3) or ``k_s = ceil(f*K)`` (Table 4);
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.quantile import kth_largest_count
+from repro.core.summary import SubWindowSummary
 
 __all__ = [
     "STAT_INEFFICIENCY_THRESHOLD",
     "PhiBudget",
     "FewKConfig",
+    "TailCounts",
+    "WindowTails",
     "topk_merge",
     "samplek_merge",
     "interval_sample",
@@ -151,26 +169,127 @@ def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray
     return prefix[i - 1 :: i][:k_s].copy()
 
 
-def _kth_largest(values: np.ndarray, rank: int) -> float:
-    """The ``rank``-th largest (1-based) of ``values``, by selection."""
+def _kth_largest(values: np.ndarray, rank: int, pivot: float | None = None) -> float:
+    """The ``rank``-th largest (1-based) of ``values``, by selection.
+
+    With a ``pivot``, only the values above it or only those below it are
+    partitioned, or the pivot itself is the answer; the result is the float
+    a full selection gives. "Above" is "not ``<= pivot``", so NaN ranks
+    above every number, as in ``np.partition``, and a NaN pivot selects
+    over all values.
+    """
+    if pivot is not None:
+        above = values[~(values <= pivot)]
+        if rank <= len(above):
+            values = above
+        else:
+            below = values[values < pivot]
+            rank -= len(values) - len(below)
+            if rank <= 0:
+                return float(pivot)
+            values = below
     i = len(values) - rank
     return float(np.partition(values, i)[i])
 
 
-def topk_merge(caches: "list[np.ndarray]", big_k: int) -> float:
+class TailCounts:
+    """One few-k cache kind (top-k or sample-k) of one phi over a sliding
+    window of ``n`` sub-windows: the in-window caches, and how many cached
+    values there are in all (``total``), ``<= g`` (``le``) and ``== g``
+    (``eq``) for the last answer ``g``.
+    """
+
+    def __init__(self, n: int):
+        self.caches: deque[np.ndarray] = deque(maxlen=n)
+        self.g: float | None = None
+        self.total = 0
+        self.le = 0
+        self.eq = 0
+
+    def push(self, cache: np.ndarray) -> None:
+        """Slide by one cache: count out the leaving one, in O(k)."""
+        cache = np.asarray(cache, dtype=np.float64)
+        if len(self.caches) == self.caches.maxlen:
+            # Before the append drops it from the deque.
+            self._count(self.caches[0], -1)
+        self.caches.append(cache)
+        self._count(cache, 1)
+
+    def _count(self, cache: np.ndarray, sign: int) -> None:
+        self.total += sign * len(cache)
+        if self.g is not None:
+            self.le += sign * np.count_nonzero(cache <= self.g)
+            self.eq += sign * np.count_nonzero(cache == self.g)
+
+    def kth_largest(self, rank: int) -> float:
+        """The ``rank``-th largest in-window cached value. ``g`` again while
+        the rank lands among the values equal to it (``above < rank <=
+        above + eq``), with no cache read; else one merge, a selection that
+        starts from ``g``, and the counts rebuilt against the new answer."""
+        above = self.total - self.le
+        if self.g is not None and above < rank <= above + self.eq:
+            return self.g
+        merged = np.concatenate(self.caches)
+        g = _kth_largest(merged, rank, self.g)
+        self.g = g
+        self.le = np.count_nonzero(merged <= g)
+        self.eq = np.count_nonzero(merged == g)
+        return g
+
+
+class WindowTails:
+    """The few-k side of one sliding window, held by Level 2: a
+    :class:`TailCounts` per phi for each cache kind its budget keeps, and
+    the number of in-window sub-windows flagged bursty."""
+
+    def __init__(self, fewk: FewKConfig, n: int):
+        self.top_k = {b.phi: TailCounts(n) for b in fewk.budgets if b.k_t > 0}
+        self.sample_k = {b.phi: TailCounts(n) for b in fewk.budgets if b.k_s > 0}
+        self.bursty = 0
+        self._flags: deque[bool] = deque(maxlen=n)
+
+    def push(self, summary: SubWindowSummary) -> None:
+        """Slide by one summary, whose burst flag is already set."""
+        if len(self._flags) == self._flags.maxlen:
+            self.bursty -= self._flags[0]
+        self._flags.append(summary.bursty)
+        self.bursty += summary.bursty
+        for phi, tail in self.top_k.items():
+            tail.push(summary.top_k[phi])
+        for phi, tail in self.sample_k.items():
+            tail.push(summary.sample_k[phi])
+
+
+def _total(caches, tail: TailCounts | None) -> int:
+    total = tail.total if tail is not None else sum(len(c) for c in caches)
+    if total == 0:
+        raise ValueError("a few-k merge needs at least one cached value")
+    return total
+
+
+def _select(caches, rank: int, tail: TailCounts | None) -> float:
+    if tail is not None:
+        return tail.kth_largest(rank)
+    return _kth_largest(np.concatenate([np.asarray(c, dtype=np.float64) for c in caches]), rank)
+
+
+def topk_merge(
+    caches: "Sequence[np.ndarray]", big_k: int, tail: TailCounts | None = None
+) -> float:
     """Window answer by top-k merging: K-th largest of all cached values.
 
     Best effort when fewer than ``big_k`` values were cached in total (small
     fractions): returns the smallest cached value, the closest available
-    rank.
+    rank. ``tail``, when given, is the :class:`TailCounts` whose
+    ``caches`` these are; the answer then comes from its counts.
     """
-    merged = np.concatenate([np.asarray(c, dtype=np.float64) for c in caches]) if caches else np.empty(0)
-    if merged.size == 0:
-        raise ValueError("topk_merge needs at least one cached value")
-    return _kth_largest(merged, min(big_k, len(merged)))
+    total = _total(caches, tail)
+    return _select(caches, min(big_k, total), tail)
 
 
-def samplek_merge(samples: "list[np.ndarray]", big_k: int) -> float:
+def samplek_merge(
+    samples: "Sequence[np.ndarray]", big_k: int, tail: TailCounts | None = None
+) -> float:
     """Window answer by sample-k merging (Section 4.2).
 
     Merges all in-window interval samples and reads the
@@ -180,12 +299,8 @@ def samplek_merge(samples: "list[np.ndarray]", big_k: int) -> float:
     :func:`interval_sample` can make it differ slightly from the
     configured ``k_s / K``), so the scaled rank simplifies to
     ``ceil(|merged| / n)``. With ``alpha = 1`` this is the exact K-th
-    largest of all candidates.
+    largest of all candidates. ``tail`` is as in :func:`topk_merge`.
     """
-    if not samples:
-        raise ValueError("samplek_merge needs at least one sampled value")
-    merged = np.concatenate([np.asarray(s, dtype=np.float64) for s in samples])
-    if merged.size == 0:
-        raise ValueError("samplek_merge needs at least one sampled value")
-    rank = max(1, math.ceil(len(merged) / len(samples)))
-    return _kth_largest(merged, min(rank, len(merged)))
+    total = _total(samples, tail)
+    rank = max(1, math.ceil(total / len(samples)))
+    return _select(samples, min(rank, total), tail)

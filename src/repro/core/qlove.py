@@ -15,7 +15,12 @@ with period ``P`` (Figure 2):
 
 Few-k merging (Section 4) overrides the Level-2 mean per quantile: sample-k
 when a burst was detected inside the window, else top-k when the quantile is
-statistically inefficient at this period (``P*(1-phi) < T_s``).
+statistically inefficient at this period (``P*(1-phi) < T_s``). With few-k,
+:class:`SlidingMerge` also slides a :class:`~repro.core.fewk.WindowTails`:
+the in-window bursty count and, per cache kind and phi, counts of the
+cached values against the last answer. A slide then costs O(k) while the
+answer holds, whatever the window's ``n``, and merges the caches only when
+the answer moves.
 
 :class:`SlidingMerge` is the one Level 2 of the kernel and the Spark few-k
 driver merge, fed the same summaries in ``sub_id`` order, so their window
@@ -32,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.burst import BurstDetector
-from repro.core.fewk import FewKConfig, samplek_merge, topk_merge
+from repro.core.fewk import FewKConfig, WindowTails, samplek_merge, topk_merge
 from repro.core.subwindow import SubWindowBuilder
 from repro.core.summary import SubWindowSummary
 from repro.streams.windows import PeriodBuffer, WindowSpec
@@ -46,6 +51,7 @@ def window_result(
     fewk: FewKConfig,
     *,
     means: np.ndarray | None = None,
+    tails: WindowTails | None = None,
 ) -> dict[float, float]:
     """Level-2 ComputeResult + few-k outcome selection (Section 4.3) for one
     window's worth of summaries.
@@ -55,22 +61,32 @@ def window_result(
     result if any member sub-window was flagged bursty, else top-k when
     enabled (statistical inefficiency), else the plain Level-2 mean. With
     no few-k budget and ``means`` given, ``summaries`` is never read, so a
-    plain slide costs O(l) whatever the window's ``n``.
+    plain slide costs O(l) whatever the window's ``n``. With ``tails``
+    (the window's :class:`~repro.core.fewk.WindowTails`), neither the burst
+    test nor the merges read ``summaries``; without it both walk them and
+    each merge is a full selection.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
     if not fewk.budgets:
         return dict(zip(phis, means.tolist()))
+
+    def caches(kind: str, phi: float):
+        if tails is None:
+            return [getattr(s, kind)[phi] for s in summaries], None
+        tail = getattr(tails, kind)[phi]
+        return tail.caches, tail
+
     result: dict[float, float] = {}
-    any_burst = any(s.bursty for s in summaries)
+    any_burst = tails.bursty > 0 if tails is not None else any(s.bursty for s in summaries)
     for i, phi in enumerate(phis):
         budget = fewk.budget_for(phi)
         if budget is not None and budget.k_s > 0 and any_burst:
-            result[phi] = samplek_merge(
-                [s.sample_k[phi] for s in summaries], budget.big_k
-            )
+            samples, tail = caches("sample_k", phi)
+            result[phi] = samplek_merge(samples, budget.big_k, tail)
         elif budget is not None and budget.k_t > 0:
-            result[phi] = topk_merge([s.top_k[phi] for s in summaries], budget.big_k)
+            tops, tail = caches("top_k", phi)
+            result[phi] = topk_merge(tops, budget.big_k, tail)
         else:
             result[phi] = float(means[i])
     return result
@@ -81,7 +97,8 @@ class SlidingMerge:
     window estimates, one slide per summary.
 
     Holds the last ``n`` summaries, their per-phi running sums, their
-    stored-variable count and the burst detector. Summaries must arrive in
+    stored-variable count, the burst detector and, with few-k, the
+    window's :class:`~repro.core.fewk.WindowTails`. Summaries must arrive in
     ``sub_id`` order starting at 0; ``next_sub_id`` is the one expected.
     """
 
@@ -109,6 +126,7 @@ class SlidingMerge:
         self.next_sub_id = 0
         self._burst_phi = fewk.burst_phi
         self._detector = BurstDetector(alpha=burst_alpha)
+        self._tails = WindowTails(fewk, self.n) if fewk.budgets else None
 
     def push(self, summary: SubWindowSummary) -> dict[float, float] | None:
         """Slide by one sub-window; returns ``{phi: estimate}`` for the
@@ -129,11 +147,16 @@ class SlidingMerge:
         self._spaces.append(summary.space())
         self.sums += summary.quantiles  # Level-2 Accumulate
         self.space += self._spaces[-1]
+        if self._tails is not None:
+            self._tails.push(summary)
         if len(self.summaries) < self.n:
             return None  # window not yet full
-        return window_result(
-            self.summaries, self.phis, self.fewk, means=self.sums / self.n
-        )
+        means = self.sums / self.n
+        # A plain slide keeps the stateless call: perfbench/selftest.py
+        # swaps in a window_result(summaries, phis, fewk, *, means) double.
+        if self._tails is None:
+            return window_result(self.summaries, self.phis, self.fewk, means=means)
+        return window_result(self.summaries, self.phis, self.fewk, means=means, tails=self._tails)
 
 
 class QloveOperator:

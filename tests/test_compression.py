@@ -38,6 +38,18 @@ class TestQuantizeSig:
         with pytest.raises(ValueError):
             quantize_sig(np.array([1.0]), digits=0)
 
+    @pytest.mark.parametrize("digits", [1, 3, 17])
+    def test_subnormal_whose_scale_underflows_is_unchanged(self, digits):
+        tiny = np.array([5e-324, -1e-323, 1e-322, -9.9e-322, 1e-321, 1e-320])
+        underflows = np.power(10.0, np.floor(np.log10(np.abs(tiny))) - (digits - 1)) == 0
+        assert underflows[0]
+        with np.errstate(all="ignore"):
+            # Without and with a zero: the fast path's case and the masked one.
+            for values in (tiny, np.append(tiny, 0.0)):
+                got = quantize_sig(values, digits)[: len(tiny)]
+                assert not np.isnan(got).any()
+                np.testing.assert_array_equal(got[underflows], tiny[underflows])
+
     def test_all_zero(self):
         np.testing.assert_array_equal(quantize_sig(np.zeros(4)), np.zeros(4))
 
@@ -87,7 +99,7 @@ def _masked_quantize(values, digits=3):
     mag = np.floor(np.log10(np.abs(v[nz])))
     scale = np.power(10.0, mag - (digits - 1))
     ratio = np.abs(v[nz]) / scale * (1.0 + 1e-10)
-    out[nz] = np.sign(v[nz]) * np.trunc(ratio) * scale
+    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * np.trunc(ratio) * scale)
     return out
 
 

@@ -208,3 +208,30 @@ class TestMergesMatchSortReference:
         assert topk_merge(single, 2) == 9.0
         assert topk_merge(single, 3) == 4.0
         assert samplek_merge(single, 1) == 1.0  # rank = |merged| / 1
+
+
+class TestPivotSelection:
+    """Level 2 restarts a selection from its last answer; the pivot must
+    never change the selected float."""
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=-3, max_value=3).map(float),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_pivot_free_selection(self, values, data):
+        from repro.core.fewk import _kth_largest
+
+        v = np.array(values)
+        rank = data.draw(st.integers(min_value=1, max_value=len(v)))
+        pivot = data.draw(
+            st.one_of(st.sampled_from(values), st.floats(allow_nan=True, allow_infinity=True))
+        )
+        np.testing.assert_array_equal(_kth_largest(v, rank, pivot), _kth_largest(v, rank))

@@ -1,6 +1,8 @@
 """Unit tests for the QLOVE operator (core/qlove.py)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
@@ -319,3 +321,170 @@ class TestSpace:
             )
             assert merge.space == sum(s.space() for s in merge.summaries)
         assert len(merge.summaries) == spec.n_subwindows
+
+
+class TestFewKTailState:
+    """SlidingMerge answers few-k quantiles from counts against the last
+    answer; every window must equal a stateless window_result."""
+
+    class _Flags:
+        """Stands in for the burst detector: hands out the drawn flags."""
+
+        def __init__(self, flags):
+            self._flags = iter(flags)
+
+        def observe(self, samples):
+            return next(self._flags)
+
+    @staticmethod
+    def _summary(i, g, phis, budgets, distinct, nan_rate, max_len):
+        from repro.core.summary import SubWindowSummary
+
+        def cache():
+            size = g.integers(0, max_len + 1)
+            v = g.integers(0, distinct, size) / 4 if distinct else g.random(size)
+            v[g.random(size) < nan_rate] = np.nan
+            return v
+
+        return SubWindowSummary(
+            sub_id=i,
+            count=100,
+            quantiles=g.random(len(phis)),
+            top_k={b.phi: cache() for b in budgets if b.k_t > 0},
+            sample_k={b.phi: cache() for b in budgets if b.k_s > 0},
+        )
+
+    @staticmethod
+    def _outcome(f):
+        try:
+            return f()
+        except ValueError:  # a window with no cached value at all
+            return "ValueError"
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=8),
+        distinct=st.sampled_from([2, 5, None]),  # None: continuous values
+        nan_rate=st.sampled_from([0.0, 0.2]),
+        max_len=st.integers(min_value=1, max_value=12),
+        sizes=st.tuples(*[st.integers(min_value=0, max_value=6)] * 4),
+        big_k=st.integers(min_value=1, max_value=40),
+        flags=st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_push_equals_stateless_window_result(
+        self, seed, n, distinct, nan_rate, max_len, sizes, big_k, flags
+    ):
+        from repro.core.fewk import PhiBudget
+        from repro.core.qlove import SlidingMerge, window_result
+
+        phis = (0.5, 0.99, 0.999)
+        budgets = tuple(
+            PhiBudget(phi=phi, big_k=big_k, k_t=k_t, k_s=k_s)
+            for phi, k_t, k_s in ((0.99, *sizes[:2]), (0.999, *sizes[2:]))
+            if k_t or k_s
+        )
+        cfg = FewKConfig(budgets=budgets)
+        merge = SlidingMerge(WindowSpec(size=100 * n, period=100), phis, cfg)
+        merge._detector = self._Flags(flags)
+        g = np.random.default_rng(seed)
+        for i in range(len(flags)):
+            s = self._summary(i, g, phis, budgets, distinct, nan_rate, max_len)
+            got = self._outcome(lambda: merge.push(s))
+            if len(merge.summaries) < n:
+                assert got is None
+                continue
+            want = self._outcome(
+                lambda: window_result(
+                    list(merge.summaries), phis, cfg, means=merge.sums / merge.n
+                )
+            )
+            if "ValueError" in (got, want):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(
+                    [got[p] for p in phis], [want[p] for p in phis]
+                )
+
+    def test_no_merge_or_selection_while_the_answer_holds(self, monkeypatch):
+        import repro.core.fewk as fewk
+        from repro.core.fewk import PhiBudget
+        from repro.core.qlove import SlidingMerge
+        from repro.core.summary import SubWindowSummary
+
+        class NumpySpy:
+            calls: list[str] = []
+
+            def __getattr__(self, name):
+                if name in ("concatenate", "partition"):
+                    def spy(*args, **kwargs):
+                        NumpySpy.calls.append(name)
+                        return getattr(np, name)(*args, **kwargs)
+
+                    return spy
+                return getattr(np, name)
+
+        cfg = FewKConfig(
+            budgets=(
+                PhiBudget(phi=0.99, big_k=3, k_t=2, k_s=0),
+                PhiBudget(phi=0.999, big_k=2, k_t=0, k_s=2),
+            )
+        )
+        merge = SlidingMerge(WindowSpec(size=300, period=100), (0.99, 0.999), cfg)
+        merge._detector = self._Flags([True] * 20)
+
+        def push(i, top, sample):
+            return merge.push(
+                SubWindowSummary(
+                    sub_id=i,
+                    count=100,
+                    quantiles=np.zeros(2),
+                    top_k={0.99: np.array(top)},
+                    sample_k={0.999: np.array(sample)},
+                )
+            )
+
+        for i in range(3):
+            assert push(i, [5.0, 5.0], [7.0, 7.0]) in (None, {0.99: 5.0, 0.999: 7.0})
+        monkeypatch.setattr(fewk, "np", NumpySpy())
+        # Top-k: the 3rd largest of six stays 5; sample-k: the 2nd largest
+        # of six stays 7, while the caches around them change.
+        for i, (top, sample) in enumerate(
+            [([5.0, 5.0], [7.0, 3.0]), ([9.0, 5.0], [9.0, 7.0]), ([5.0, 4.0], [7.0, 7.0])], 3
+        ):
+            assert push(i, top, sample) == {0.99: 5.0, 0.999: 7.0}
+        assert NumpySpy.calls == []
+        assert push(6, [9.0, 9.0], [9.0, 9.0]) == {0.99: 9.0, 0.999: 9.0}
+        assert "partition" in NumpySpy.calls  # the spy sees a moved answer
+
+    def test_pickled_operator_continues_identically(self):
+        import pickle
+
+        spec = WindowSpec(size=8 * 512, period=512)
+        stream = inject_burst(
+            netmon(40 * 512, seed=17), window_size=spec.size, period=spec.period, phi=0.99
+        )
+        cfg = FewKConfig.from_fraction(
+            window_size=spec.size,
+            period=spec.period,
+            phis=[0.99],
+            sample_fraction=0.5,
+            auto_topk=True,
+        )
+        op = QloveOperator(spec, PHIS + (0.999,), sig_digits=3, fewk=cfg)
+        cut = 13 * 512 + 100  # mid-stream and mid-sub-window
+        op.observe_chunk(stream[:cut])
+        clone = pickle.loads(pickle.dumps(op))
+        tail = clone._merge._tails.sample_k[0.99]
+        # Both kinds have answered (a burst is in the window) and kept counts.
+        assert tail.g is not None and clone._merge._tails.top_k[0.99].g is not None
+        assert clone._merge._tails.bursty == 1
+        # The tail state shares its caches with the summaries, in memory as
+        # in the pickle.
+        assert tail.caches[-1] is clone._merge.summaries[-1].sample_k[0.99]
+        want = op.observe_chunk(stream[cut:])
+        got = clone.observe_chunk(stream[cut:])
+        assert len(got) == 27
+        np.testing.assert_array_equal(
+            [list(r.values()) for r in got], [list(r.values()) for r in want]
+        )
