@@ -33,22 +33,6 @@ class MannWhitneyResult:
     greater: bool
 
 
-def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midranks of ``pooled`` (average rank over ties), 1-indexed, and the
-    size of each tie group.
-
-    A tie group is a run of equal values in sorted order; one that starts
-    at 0-based position ``i`` and holds ``t`` values has the midrank
-    ``i + (t-1)/2 + 1``, an exact half, so the sum of ranks is exact.
-    """
-    order = np.argsort(pooled, kind="mergesort")
-    sorted_vals = pooled[order]
-    starts, counts = sorted_runs(sorted_vals)
-    ranks = np.empty(len(pooled), dtype=np.float64)
-    ranks[order] = np.repeat(starts + (counts - 1) / 2.0 + 1.0, counts)
-    return ranks, counts
-
-
 def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhitneyResult:
     """One-sided Mann-Whitney U test of H1: ``x`` stochastically larger than ``y``.
 
@@ -61,13 +45,18 @@ def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhi
     if n1 == 0 or n2 == 0:
         return MannWhitneyResult(u=0.0, z=0.0, greater=False)
     pooled = np.concatenate([x, y])
-    ranks, counts = _midranks(pooled)
-    r1 = ranks[:n1].sum()
+    order = np.argsort(pooled, kind="mergesort")
+    # Tie groups: runs of equal values in sorted order. A group that starts
+    # at 0-based position i with t members has the midrank (2i + t + 1) / 2,
+    # an exact half, so x's rank sum is exact from its count per group.
+    starts, t = sorted_runs(pooled[order])
+    nx = np.add.reduceat(order < n1, starts, dtype=np.int64)
+    r1 = (nx @ (2 * starts + t + 1)) / 2.0
     u = r1 - n1 * (n1 + 1) / 2.0
     mean_u = n1 * n2 / 2.0
     n = n1 + n2
-    # Tie correction: sum over tie groups of (t^3 - t).
-    tie_term = float(((counts.astype(np.float64) ** 3) - counts).sum())
+    # Tie correction: sum over tie groups of (t^3 - t), exact in int64.
+    tie_term = float((t * t - 1) @ t)
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
     if var_u <= 0:
         return MannWhitneyResult(u=u, z=0.0, greater=False)

@@ -11,6 +11,8 @@ the relative error is ``< 10^-(3-1) = 1%``.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["quantize_sig", "max_relative_error"]
@@ -27,6 +29,9 @@ _POW10 = np.power(10.0, np.arange(_POW10_LO, 309, dtype=np.float64))
 # underflow to 0.0 (for digits <= _POW10_DIGITS); such values take the
 # masked path, which keeps them unchanged.
 _FAST_MIN = 1e-290
+# Whole numbers below this are quantized by lookup (see quantize_sig): 2^18
+# covers NetMon-sim (<= 80,000) and Search-sim (<= 200,000) latencies.
+_TABLE_SIZE = 2**18
 
 
 def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
@@ -37,25 +42,58 @@ def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
     798 -> 798, 0.012345 -> 0.0123. A subnormal too small to scale
     (``10^(floor(log10|v|) - digits + 1)`` underflows to 0.0, e.g. 5e-324)
     is returned unchanged.
+
+    Whole-number telemetry (microsecond latencies) is quantized by table
+    lookup: when every value is an integer in ``[0, _TABLE_SIZE)``, the
+    result is read from this function's float path applied once to
+    ``0 .. _TABLE_SIZE - 1``, so it is bit-identical to that path. Any
+    other array (a negative, a fraction, NaN, +-inf, a value past the
+    table, a 0-d or empty input) takes the float path.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     v = np.asarray(values, dtype=np.float64)
-    a = np.abs(v)
-    # Fast path: no zero, no non-finite value (NaN fails both tests) and no
-    # scale that underflows, so no mask is needed and the scale is a table
-    # lookup. A 0-d input takes the masked path, which keeps it an array.
-    if digits <= _POW10_DIGITS and v.ndim and v.size and a.min() >= _FAST_MIN and a.max() < np.inf:
-        idx = np.floor(np.log10(a)).astype(np.intp)
-        idx -= digits - 1 + _POW10_LO
-        scale = _POW10[idx]
-        # Every step below is odd-symmetric, so dividing v rather than |v|
-        # gives the masked path's sign(v) * trunc(ratio) * scale exactly.
-        out = v / scale
-        out *= 1.0 + 1e-10  # the masked path's inflation, see below
-        np.trunc(out, out=out)
-        out *= scale
-        return out
+    if not (v.ndim and v.size):
+        # A 0-d input takes the masked path, which keeps it an array.
+        return _quantize_masked(v, digits)
+    # NaN makes both NaN, which fails every test below.
+    lo, hi = v.min(), v.max()
+    if 0 <= lo and hi < _TABLE_SIZE:
+        idx = v.astype(np.intp)
+        if (idx == v).all():
+            return _whole_number_table(digits)[idx]
+    return _quantize_float(v, digits, lo, hi)
+
+
+def _quantize_float(v: np.ndarray, digits: int, lo: float, hi: float) -> np.ndarray:
+    """The float path of :func:`quantize_sig` for a non-empty 1-d or wider
+    ``v`` whose minimum is ``lo`` and maximum ``hi``."""
+    if digits <= _POW10_DIGITS and -np.inf < lo and hi < np.inf:
+        # Fast path: no zero, no non-finite value and no scale that
+        # underflows, so no mask is needed and the scale is a table lookup.
+        if lo > 0:
+            a, a_min = v, lo
+        else:
+            a = np.abs(v)
+            a_min = -hi if hi < 0 else a.min()
+        if a_min >= _FAST_MIN:
+            idx = np.floor(np.log10(a)).astype(np.intp)
+            idx -= digits - 1 + _POW10_LO
+            scale = _POW10[idx]
+            # Every step below is odd-symmetric, so dividing v rather than
+            # |v| gives the masked path's sign(v) * trunc(ratio) * scale
+            # exactly.
+            out = v / scale
+            out *= 1.0 + 1e-10  # the masked path's inflation, see below
+            np.trunc(out, out=out)
+            out *= scale
+            return out
+    return _quantize_masked(v, digits)
+
+
+def _quantize_masked(v: np.ndarray, digits: int) -> np.ndarray:
+    """The float path with a mask for zeros and a per-element np.power:
+    any zero, +-inf or NaN, or digits past the power table."""
     out = np.zeros_like(v)
     nz = v != 0
     if not nz.any():
@@ -70,6 +108,22 @@ def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
     # is inf and trunc(inf) * 0.0 NaN: such a value is kept unchanged.
     out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * np.trunc(ratio) * scale)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _whole_number_table(digits: int) -> np.ndarray:
+    """``quantize_sig``'s float path over ``0 .. _TABLE_SIZE - 1``: the
+    whole-number lookup table for ``digits``, 2 MB, built on first use.
+    Read-only, as every caller shares it."""
+    table = np.empty(_TABLE_SIZE, dtype=np.float64)
+    # Built in 32 KB pieces: built whole, its ~20 MB of temporaries left
+    # the process 12 MB larger, not 2 MB, once the build was done.
+    step = 4096
+    for lo in range(0, _TABLE_SIZE, step):
+        whole = np.arange(lo, lo + step, dtype=np.float64)
+        table[lo : lo + step] = _quantize_float(whole, digits, float(lo), lo + step - 1.0)
+    table.flags.writeable = False
+    return table
 
 
 def max_relative_error(digits: int = 3) -> float:

@@ -288,19 +288,27 @@ def topk_merge(
 
 
 def samplek_merge(
-    samples: "Sequence[np.ndarray]", big_k: int, tail: TailCounts | None = None
+    samples: "Sequence[np.ndarray]",
+    big_k: int,
+    tail: TailCounts | None = None,
+    *,
+    period: int | None = None,
 ) -> float:
     """Window answer by sample-k merging (Section 4.2).
 
     Merges all in-window interval samples and reads the
     ``ceil(alpha * K)``-th largest to factor in the data reduction by
-    sampling. ``alpha`` is the *effective* sampled fraction
-    ``|merged| / (n * K)`` (the stride rounding in
-    :func:`interval_sample` can make it differ slightly from the
-    configured ``k_s / K``), so the scaled rank simplifies to
-    ``ceil(|merged| / n)``. With ``alpha = 1`` this is the exact K-th
-    largest of all candidates. ``tail`` is as in :func:`topk_merge`.
+    sampling. Each sample is thinned from the sub-window's top
+    ``m = min(K, P)`` values (all ``P`` of them when ``K`` exceeds the
+    period ``P``), so ``alpha`` is the *effective* sampled fraction
+    ``|merged| / (n * m)`` (the stride rounding in :func:`interval_sample`
+    can make it differ slightly from the configured ``k_s / K``) and the
+    rank is ``ceil(|merged| * K / (n * m))``, which is ``ceil(|merged| /
+    n)`` when ``K <= P``. With ``alpha = 1`` this is the exact K-th
+    largest of all candidates. ``period`` is ``P``; None takes ``P >= K``.
+    ``tail`` is as in :func:`topk_merge`.
     """
     total = _total(samples, tail)
-    rank = max(1, math.ceil(total / len(samples)))
+    drawn = big_k if period is None else min(big_k, period)
+    rank = max(1, -(-total * big_k // (len(samples) * drawn)))
     return _select(samples, min(rank, total), tail)

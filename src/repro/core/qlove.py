@@ -63,8 +63,9 @@ def window_result(
     no few-k budget and ``means`` given, ``summaries`` is never read, so a
     plain slide costs O(l) whatever the window's ``n``. With ``tails``
     (the window's :class:`~repro.core.fewk.WindowTails`), neither the burst
-    test nor the merges read ``summaries``; without it both walk them and
-    each merge is a full selection.
+    test nor the merges walk ``summaries`` (sample-k reads the period ``P``
+    from the last one's count); without it both walk them and each merge
+    is a full selection.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
@@ -78,12 +79,13 @@ def window_result(
         return tail.caches, tail
 
     result: dict[float, float] = {}
+    period = summaries[-1].count  # every in-window sub-window holds P values
     any_burst = tails.bursty > 0 if tails is not None else any(s.bursty for s in summaries)
     for i, phi in enumerate(phis):
         budget = fewk.budget_for(phi)
         if budget is not None and budget.k_s > 0 and any_burst:
             samples, tail = caches("sample_k", phi)
-            result[phi] = samplek_merge(samples, budget.big_k, tail)
+            result[phi] = samplek_merge(samples, budget.big_k, tail, period=period)
         elif budget is not None and budget.k_t > 0:
             tops, tail = caches("top_k", phi)
             result[phi] = topk_merge(tops, budget.big_k, tail)

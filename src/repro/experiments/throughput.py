@@ -7,7 +7,7 @@ eps, CMQS at small eps (big sketches) is slower than Exact, and large eps
 recovers throughput at the cost of a uselessly loose rank bound.
 
 Each throughput is the median of ``PASSES`` passes, each with a fresh
-policy over the same stream.
+policy over the same stream, taken in rounds of one pass per policy.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ PHIS = (0.5, 0.9, 0.99, 0.999)
 BASE_EPSILON = 0.02
 MULTIPLIERS = (1, 2, 5, 10)
 # A 1M-event QLOVE pass takes < 0.1 s, so one pass spreads by +-30% on a
-# shared host; each row reports the median over this many passes.
-PASSES = 3
+# shared host; each row reports the median over this many passes. Where
+# the host's speed drifts over tens of seconds, runs still differ by that.
+PASSES = 9
 
 
 def policies():
@@ -43,14 +44,16 @@ def policies():
 def run(n_events: int | None = None, *, seed: int = 0) -> pd.DataFrame:
     n = n_events or default_n_events(1_000_000)
     stream = netmon(n, seed=seed)
+    # Round robin: each round runs every policy once, so a policy's passes
+    # spread over the whole run instead of one moment of the host's speed.
+    rounds = [policies() for _ in range(PASSES)]
+    eps = [[run_policy(pol, stream).throughput_eps for _, pol in rnd] for rnd in rounds]
     rows = []
-    for passes in zip(*(policies() for _ in range(PASSES))):
-        eps = [run_policy(pol, stream).throughput_eps for _, pol in passes]
-        label, pol = passes[0]
+    for i, (label, pol) in enumerate(rounds[0]):
         rows.append(
             {
                 "policy": label,
-                "throughput_Mev/s": round(median(eps) / 1e6, 3),
+                "throughput_Mev/s": round(median(r[i] for r in eps) / 1e6, 3),
                 "space_observed": pol.space_observed(),
             }
         )

@@ -116,13 +116,14 @@ def inject_burst(
     N(1-phi) elements in every (N/P)th sub-window of size P by 10x".
 
     Exactly one sub-window per window evaluation is made bursty. ``offset``
-    selects which sub-window of each group of ``N/P`` bursts.
+    selects which sub-window of each group of ``N/P`` bursts. When the top
+    ``N(1-phi)`` exceed a period, the whole sub-window is scaled.
     """
     from repro.core.quantile import kth_largest_count
 
     out = np.array(stream, dtype=np.float64, copy=True)
     n_subs_per_window = window_size // period
-    big_k = kth_largest_count(phi, window_size)
+    big_k = min(kth_largest_count(phi, window_size), period)
     n_subs = len(out) // period
     for s in range(offset, n_subs, n_subs_per_window):
         lo, hi = s * period, (s + 1) * period

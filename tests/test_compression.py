@@ -1,10 +1,15 @@
 """Unit tests for significant-digit value compression (core/compression.py)."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compression import max_relative_error, quantize_sig
+from repro.core.compression import (
+    _TABLE_SIZE,
+    _whole_number_table,
+    max_relative_error,
+    quantize_sig,
+)
 
 
 class TestQuantizeSig:
@@ -136,3 +141,60 @@ def test_fast_path_bit_identical_to_masked_reference(digits):
             np.testing.assert_array_equal(
                 got.view(np.int64), want.view(np.int64), err_msg=name
             )
+
+
+# Whole numbers around every decade and the table's edge, 0 and -0.0
+# included: the table path must equal the float path bit for bit.
+_WHOLE_EDGES = [0.0, -0.0, 1.0, 58.0, _TABLE_SIZE - 1.0, float(_TABLE_SIZE)] + [
+    float(10**k + d) for k in range(1, 7) for d in (-1, 0)
+]
+_whole_numbers = st.lists(
+    st.one_of(
+        st.sampled_from(_WHOLE_EDGES),
+        st.integers(min_value=0, max_value=_TABLE_SIZE - 1).map(float),
+        st.integers(min_value=-_TABLE_SIZE, max_value=-1).map(float),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+@given(values=_whole_numbers)
+@settings(max_examples=40, deadline=None)
+def test_whole_numbers_bit_identical_to_masked_reference(digits, values):
+    v = np.array(values)
+    _assert_bits_equal(quantize_sig(v, digits), _masked_quantize(v, digits))
+    in_table = v[(v >= 0) & (v < _TABLE_SIZE)]
+    _assert_bits_equal(quantize_sig(in_table, digits), _masked_quantize(in_table, digits))
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+@given(
+    values=_whole_numbers,
+    odd=st.sampled_from([0.5, 99_999.25, 1e-300, np.nan, np.inf, -np.inf]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_whole_numbers_with_a_fraction_or_non_finite_take_float_path(
+    digits, values, odd, data
+):
+    v = np.array(values)
+    v = np.insert(v, data.draw(st.integers(min_value=0, max_value=len(v))), odd)
+    with np.errstate(all="ignore"):
+        _assert_bits_equal(quantize_sig(v, digits), _masked_quantize(v, digits))
+
+
+def test_whole_number_table_is_read_only():
+    table = _whole_number_table(3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[58] = 58.0
+    out = quantize_sig(np.array([58.0, 1_247.0]), 3)
+    out[:] = 0.0  # a lookup returns a new array
+    assert table[1_247] == 1_240.0
+    assert table[58] == _masked_quantize(np.array([58.0]), 3)[0]

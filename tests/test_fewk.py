@@ -137,6 +137,19 @@ class TestSamplekMerge:
         samples = [interval_sample(np.sort(p)[::-1], big_k, big_k) for p in parts]
         assert samplek_merge(samples, big_k) == exact_quantiles(window, [phi])[0]
 
+    def test_alpha_one_is_exact_when_k_exceeds_period(self):
+        # 200K / 1K at phi = 0.99: K = 2,001 > P, so each sample holds the
+        # whole sub-window, thinned from P values rather than K.
+        g = np.random.default_rng(8)
+        window = g.integers(100, 80_000, 200_000).astype(np.float64)
+        phi, period = 0.99, 1_000
+        big_k = kth_largest_count(phi, len(window))
+        assert big_k == 2_001
+        parts = np.split(window, len(window) // period)
+        samples = [interval_sample(np.sort(p)[::-1], big_k, big_k) for p in parts]
+        want = exact_quantiles(window, [phi])[0]
+        assert samplek_merge(samples, big_k, period=period) == want
+
     def test_half_fraction_close(self):
         g = np.random.default_rng(5)
         window = g.normal(1000, 100, 4000)

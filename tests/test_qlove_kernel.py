@@ -323,6 +323,43 @@ class TestSpace:
         assert len(merge.summaries) == spec.n_subwindows
 
 
+class TestWholeNumberQuantization:
+    def test_table_path_changes_no_estimate_or_space(self, monkeypatch):
+        # Integer NetMon-sim: the periods below 2^18 take quantize_sig's
+        # whole-number table, the 10x burst periods its float path.
+        import repro.core.compression as compression
+
+        spec = WindowSpec(size=16_000, period=4_000)
+        phis = (0.5, 0.9, 0.99, 0.999)
+        stream = inject_burst(
+            netmon(96_000, seed=12), window_size=spec.size, period=spec.period, phi=0.999
+        )
+        assert (stream == np.rint(stream)).all() and stream.max() >= compression._TABLE_SIZE
+        cfg = FewKConfig.from_fraction(
+            window_size=spec.size,
+            period=spec.period,
+            phis=[0.99, 0.999],
+            sample_fraction=0.5,
+            auto_topk=True,
+        )
+
+        def run():
+            op = QloveOperator(spec, phis, sig_digits=3, fewk=cfg)
+            estimates, space = [], []
+            for chunk in np.array_split(stream, 96):
+                for r in op.observe_chunk(chunk):
+                    estimates.append([r[p] for p in phis])
+                    space.append(op.space_observed())
+            return np.array(estimates), space
+
+        with_table = run()
+        monkeypatch.setattr(compression, "_TABLE_SIZE", 0)  # every array floats
+        without_table = run()
+        assert len(with_table[0]) == spec.n_evaluations(len(stream))
+        np.testing.assert_array_equal(with_table[0], without_table[0])
+        assert with_table[1] == without_table[1]
+
+
 class TestFewKTailState:
     """SlidingMerge answers few-k quantiles from counts against the last
     answer; every window must equal a stateless window_result."""

@@ -131,6 +131,16 @@ class TestInjectBurst:
         top = np.sort(sub)[::-1][:big_k]
         np.testing.assert_allclose(np.sort(out[:1_000])[::-1][:big_k], np.sort(top * 10)[::-1])
 
+    def test_whole_subwindow_scaled_when_k_exceeds_period(self):
+        # K = 1,001 > P: each burst sub-window has fewer values than K, so
+        # all of them are its top K.
+        stream = np.ones(2_000_000)
+        out = inject_burst(stream, window_size=1_000_000, period=1_000, phi=0.999)
+        changed = (out != 1.0).reshape(-1, 1_000).sum(axis=1)
+        want = np.zeros(2_000, dtype=changed.dtype)
+        want[[0, 1_000]] = 1_000
+        np.testing.assert_array_equal(changed, want)
+
     def test_original_untouched(self):
         stream = np.ones(4_000)
         inject_burst(stream, window_size=4_000, period=1_000, phi=0.999)
