@@ -32,6 +32,8 @@ _FAST_MIN = 1e-290
 # Whole numbers below this are quantized by lookup (see quantize_sig): 2^18
 # covers NetMon-sim (<= 80,000) and Search-sim (<= 200,000) latencies.
 _TABLE_SIZE = 2**18
+# 10^k is exact in float64 for k <= 22 (5^22 < 2^53).
+_EXACT_POW10 = 22
 
 
 def quantize_sig(values: np.ndarray, digits: int = 3) -> np.ndarray:
@@ -77,14 +79,20 @@ def _quantize_float(v: np.ndarray, digits: int, lo: float, hi: float) -> np.ndar
             a = np.abs(v)
             a_min = -hi if hi < 0 else a.min()
         if a_min >= _FAST_MIN:
-            idx = np.floor(np.log10(a)).astype(np.intp)
-            idx -= digits - 1 + _POW10_LO
-            scale = _POW10[idx]
+            e = np.floor(np.log10(a)).astype(np.intp)
+            e -= digits - 1
+            if a_min < _POW10[digits - 1 - _POW10_LO]:
+                # Some |v| < 10^(digits - 1), so some e < 0, where 10^e is
+                # inexact: see _truncate. Data without such values keeps
+                # the plain scaling below.
+                inverse = (e < 0) & (e >= -_EXACT_POW10)
+                return _truncate(v, inverse, _POW10[np.where(inverse, -e, e) - _POW10_LO])
+            scale = _POW10[e - _POW10_LO]
             # Every step below is odd-symmetric, so dividing v rather than
             # |v| gives the masked path's sign(v) * trunc(ratio) * scale
             # exactly.
             out = v / scale
-            out *= 1.0 + 1e-10  # the masked path's inflation, see below
+            out *= 1.0 + 1e-10  # _truncate's inflation
             np.trunc(out, out=out)
             out *= scale
             return out
@@ -98,15 +106,38 @@ def _quantize_masked(v: np.ndarray, digits: int) -> np.ndarray:
     nz = v != 0
     if not nz.any():
         return out
-    mag = np.floor(np.log10(np.abs(v[nz])))
-    scale = np.power(10.0, mag - (digits - 1))
+    a = np.abs(v[nz])
+    e = np.floor(np.log10(a)) - (digits - 1)
+    inverse = (e < 0) & (e >= -_EXACT_POW10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.power(10.0, np.where(inverse, -e, e))
+        q = _truncate(a, inverse, scale)
+    # Where the scale underflows to 0.0 (the smallest subnormals), the ratio
+    # is inf and trunc(inf) * 0.0 NaN: such a value is kept unchanged.
+    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * q)
+    return out
+
+
+def _truncate(v: np.ndarray, inverse: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``trunc(v / 10^e) * 10^e`` per element, with ``scale = 10^e``, or
+    ``10^-e`` where ``inverse``.
+
+    For e < 0, 10^e is inexact, and scaling by it leaves the kept decimal
+    1 ulp low (58 -> 57.99999999999999 at 3 digits). 10^-e is exact for
+    -e <= _EXACT_POW10, so there the ratio is ``v * 10^-e`` and the result
+    ``trunc(...) / 10^-e``: a correctly rounded quotient of two exact
+    numbers, which is the kept decimal itself. Odd-symmetric in ``v``.
+    """
     # The tiny relative inflation guards against float division landing an
     # exact decade boundary just below its integer ratio (e.g. 1.0 / 0.1 =
     # 9.999...), which would otherwise truncate away a significant digit.
-    ratio = np.abs(v[nz]) / scale * (1.0 + 1e-10)
-    # Where the scale underflows to 0.0 (the smallest subnormals), the ratio
-    # is inf and trunc(inf) * 0.0 NaN: such a value is kept unchanged.
-    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * np.trunc(ratio) * scale)
+    ratio = v / scale
+    # where= rather than np.where: the branch not taken would overflow.
+    np.multiply(v, scale, out=ratio, where=inverse)
+    ratio *= 1.0 + 1e-10
+    np.trunc(ratio, out=ratio)
+    out = ratio * scale
+    np.divide(ratio, scale, out=out, where=inverse)
     return out
 
 

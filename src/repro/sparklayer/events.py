@@ -3,13 +3,16 @@
 An event stream is a DataFrame ``(seq BIGINT, value DOUBLE)`` where ``seq``
 is the 0-based arrival order (the element timestamp of count-based
 windows). :func:`with_sub_id` assigns each event its Level-1 sub-window.
+Values stay raw in Spark: Section 3.1's compression is applied by the
+kernel's :func:`repro.core.compression.quantize_sig` where a group's values
+reach Python (:mod:`.level1`, :mod:`.exact_spark`).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-__all__ = ["with_sub_id", "with_quantized_value"]
+__all__ = ["with_sub_id"]
 
 
 def with_sub_id(events: DataFrame, period: int) -> DataFrame:
@@ -19,24 +22,3 @@ def with_sub_id(events: DataFrame, period: int) -> DataFrame:
         raise ValueError(f"period must be positive, got {period}")
     return events.withColumn("sub_id", (F.col("seq") / period).cast("long"))
 
-
-def with_quantized_value(events: DataFrame, sig_digits: int | None) -> DataFrame:
-    """Apply Section 3.1's significant-digit compression to ``value``.
-
-    Expressed in Spark SQL (not a UDF): zero out low-order decimal digits,
-    keeping ``sig_digits`` significant ones — identical semantics to
-    :func:`repro.core.compression.quantize_sig`, including the epsilon
-    guard against decade-boundary float division.
-    """
-    if sig_digits is None:
-        return events
-    if sig_digits < 1:
-        raise ValueError(f"need sig_digits >= 1, got {sig_digits}")
-    v = F.col("value")
-    mag = F.floor(F.log10(F.abs(v)))
-    scale = F.pow(F.lit(10.0), mag - (sig_digits - 1))
-    ratio = F.abs(v) / scale * (1.0 + 1e-10)
-    quantized = F.signum(v) * F.floor(ratio) * scale
-    return events.withColumn(
-        "value", F.when(v == 0.0, F.lit(0.0)).otherwise(quantized)
-    )

@@ -6,11 +6,12 @@ Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
 computed per sub-window with ``applyInArrow`` over that state — one Arrow
 group per sub-window, embarrassingly parallel across sub-windows.
 
-The group function expands the group's ``(value, freq)`` rows into the
-sub-window's sorted values (``np.repeat``, at most ``P`` floats) and calls
-the kernel's :func:`repro.core.subwindow.summarize`, so every summary is
-bit-identical to the one :class:`repro.core.subwindow.SubWindowBuilder`
-emits for the same sub-window (tested in ``tests/test_spark_level1.py``).
+The group function expands the group's raw ``(value, freq)`` rows
+(``np.repeat``, at most ``P`` floats), then quantizes, sorts and summarizes
+them as :class:`repro.core.subwindow.SubWindowBuilder` does, with the
+kernel's :func:`~repro.core.compression.quantize_sig` and
+:func:`~repro.core.subwindow.summarize`. So every summary is bit-identical
+to the kernel's on any data (tested in ``tests/test_spark_level1.py``).
 This module alone knows the row format of :data:`SUMMARY_SCHEMA`:
 :func:`row_to_summary` decodes what the group function encodes.
 """
@@ -31,10 +32,11 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.core.compression import quantize_sig
 from repro.core.fewk import FewKConfig
 from repro.core.subwindow import summarize
 from repro.core.summary import SubWindowSummary
-from repro.sparklayer.events import with_quantized_value, with_sub_id
+from repro.sparklayer.events import with_sub_id
 
 __all__ = ["freq_state", "subwindow_summaries", "row_to_summary", "SUMMARY_SCHEMA"]
 
@@ -85,16 +87,16 @@ def row_to_summary(row, fewk: FewKConfig) -> SubWindowSummary:
     )
 
 
-def freq_state(events: DataFrame, period: int, *, sig_digits: int | None = None) -> DataFrame:
+def freq_state(events: DataFrame, period: int) -> DataFrame:
     """The Level-1 state, relationally: ``(sub_id, value, freq)``.
 
-    This is the paper's red-black-tree state expressed as a group-by — the
-    degree of duplicates in the workload directly shrinks this relation
-    (the ``O(P)`` term of Section 3.2).
+    This is the paper's red-black-tree state expressed as a group-by over
+    raw values — the degree of duplicates in the workload directly shrinks
+    this relation (the ``O(P)`` term of Section 3.2); quantization, applied
+    later per sub-window, does not.
     """
-    ev = with_quantized_value(events, sig_digits)
     return (
-        with_sub_id(ev, period)
+        with_sub_id(events, period)
         .groupBy("sub_id", "value")
         .agg(F.count(F.lit(1)).alias("freq"))
     )
@@ -114,19 +116,24 @@ def subwindow_summaries(
     over every sub-window, but data-parallel: the frequency state is built
     by Spark's shuffle and each summary by one ``applyInArrow`` group.
     """
+    if sig_digits is not None and sig_digits < 1:
+        raise ValueError(f"need sig_digits >= 1, got {sig_digits}")
     phis = tuple(phis)
     cfg = fewk or FewKConfig()
-    state = freq_state(events, period, sig_digits=sig_digits)
+    state = freq_state(events, period)
 
     # Unannotated on purpose: with ``from __future__ import annotations`` the
     # hints are strings, and PySpark 4.1's applyInArrow then fails to infer
     # the function form (UnboundLocalError: eval_type).
     def group_summary(table):
-        values = table.column("value").to_numpy().astype(np.float64, copy=False)
-        freqs = table.column("freq").to_numpy().astype(np.int64, copy=False)
-        order = np.argsort(values)
+        values = np.repeat(
+            table.column("value").to_numpy().astype(np.float64, copy=False),
+            table.column("freq").to_numpy().astype(np.int64, copy=False),
+        )
+        if sig_digits is not None:
+            values = quantize_sig(values, sig_digits)
         sub_id = table.column("sub_id")[0].as_py()
-        s = summarize(np.repeat(values[order], freqs[order]), phis, cfg, sub_id)
+        s = summarize(np.sort(values), phis, cfg, sub_id)
         return pa.Table.from_pylist([_summary_to_row(s, cfg)], schema=_SUMMARY_ARROW_SCHEMA)
 
     return state.groupBy("sub_id").applyInArrow(group_summary, SUMMARY_SCHEMA)

@@ -1,4 +1,6 @@
 """Unit tests for significant-digit value compression (core/compression.py)."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,8 @@ class TestQuantizeSig:
         tiny = np.array([5e-324, -1e-323, 1e-322, -9.9e-322, 1e-321, 1e-320])
         underflows = np.power(10.0, np.floor(np.log10(np.abs(tiny))) - (digits - 1)) == 0
         assert underflows[0]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             # Without and with a zero: the fast path's case and the masked one.
             for values in (tiny, np.append(tiny, 0.0)):
                 got = quantize_sig(values, digits)[: len(tiny)]
@@ -69,6 +72,21 @@ class TestQuantizeSig:
         # Section 3.1: 3 significant digits keep values within <1% rel error.
         q = quantize_sig(np.array([x]), 3)[0]
         assert abs(q - x) / x < max_relative_error(3)
+
+    @given(
+        digits=st.integers(min_value=1, max_value=8),
+        k=st.integers(min_value=-15, max_value=15),
+        sign=st.sampled_from([1, -1]),
+        data=st.data(),
+    )
+    def test_kept_decimal_is_unchanged(self, digits, k, sign, data):
+        # A value with at most `digits` significant digits is its own
+        # quantization, below 10^(digits - 1) too (58 stays 58, not
+        # 57.99999999999999). With a zero it takes the masked path.
+        m = data.draw(st.integers(min_value=1, max_value=10**digits - 1))
+        x = sign * float(f"{m}e{k}")
+        for values in ([x], [x, 0.0]):
+            assert quantize_sig(np.array(values), digits)[0] == x
 
     @given(
         st.floats(min_value=1e-6, max_value=1e12),
@@ -101,10 +119,15 @@ def _masked_quantize(values, digits=3):
     nz = v != 0
     if not nz.any():
         return out
-    mag = np.floor(np.log10(np.abs(v[nz])))
-    scale = np.power(10.0, mag - (digits - 1))
-    ratio = np.abs(v[nz]) / scale * (1.0 + 1e-10)
-    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * np.trunc(ratio) * scale)
+    a = np.abs(v[nz])
+    e = np.floor(np.log10(a)) - (digits - 1)
+    # 10^e is inexact for e < 0; 10^-e is exact up to 10^22.
+    inverse = (e < 0) & (e >= -22)
+    with np.errstate(all="ignore"):
+        scale = np.power(10.0, np.where(inverse, -e, e))
+        ratio = np.where(inverse, a * scale, a / scale) * (1.0 + 1e-10)
+        q = np.where(inverse, np.trunc(ratio) / scale, np.trunc(ratio) * scale)
+    out[nz] = np.where(scale == 0, v[nz], np.sign(v[nz]) * q)
     return out
 
 

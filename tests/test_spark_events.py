@@ -1,11 +1,9 @@
-"""Spark tests: event streams + value compression (sparklayer/events.py)."""
-import numpy as np
+"""Spark tests: event streams (sparklayer/events.py)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.compression import quantize_sig
 from repro.oracle import assert_equivalent
-from repro.sparklayer.events import with_quantized_value, with_sub_id
+from repro.sparklayer.events import with_sub_id
 from repro.synth_data import netmon, telemetry_events
 
 
@@ -36,38 +34,3 @@ class TestWithSubId:
         n = with_sub_id(events, 1_000).select("sub_id").distinct().count()
         assert n == 4
 
-
-class TestQuantizedValue:
-    def test_matches_kernel(self, spark, events):
-        got = (
-            with_quantized_value(events, 3)
-            .orderBy("seq")
-            .select("value")
-            .toPandas()["value"]
-            .to_numpy()
-        )
-        raw = events.orderBy("seq").select("value").toPandas()["value"].to_numpy()
-        np.testing.assert_allclose(got, quantize_sig(raw, 3), rtol=1e-12)
-
-    def test_none_is_identity(self, events):
-        assert with_quantized_value(events, None) is events
-
-    def test_invalid_digits(self, events):
-        with pytest.raises(ValueError):
-            with_quantized_value(events, 0)
-
-    def test_reduces_distinct(self, events):
-        raw = events.select("value").distinct().count()
-        quant = with_quantized_value(events, 2).select("value").distinct().count()
-        assert quant < raw
-
-    def test_zero_and_negative(self, spark):
-        import pandas as pd
-
-        df = spark.createDataFrame(
-            pd.DataFrame({"seq": [0, 1, 2], "value": [0.0, -74_265.0, 74_265.0]})
-        )
-        got = (
-            with_quantized_value(df, 3).orderBy("seq").toPandas()["value"].tolist()
-        )
-        assert got == pytest.approx([0.0, -74_200.0, 74_200.0])

@@ -1,5 +1,6 @@
 """Spark tests: Level-1 frequency state and summaries (sparklayer/level1.py)."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,7 +8,7 @@ from repro.core.fewk import FewKConfig
 from repro.core.subwindow import SubWindowBuilder
 from repro.oracle import assert_equivalent
 from repro.sparklayer.level1 import freq_state, subwindow_summaries
-from repro.synth_data import netmon, telemetry_events
+from repro.synth_data import netmon, pareto_ds, telemetry_events
 
 PHIS = (0.5, 0.9, 0.99, 0.999)
 PERIOD = 1_000
@@ -31,22 +32,6 @@ class TestFreqState:
             f"""
             SELECT CAST(FLOOR(seq / {PERIOD}) AS BIGINT) AS sub_id,
                    value, COUNT(*) AS freq
-            FROM events GROUP BY 1, 2
-            """,
-            events=events,
-        )
-
-    def test_quantized_matches_oracle(self, spark, events):
-        # 2 significant digits, positive integer inputs: value -> the SQL
-        # equivalent of quantize_sig, cross-checked in DuckDB.
-        df = freq_state(events, PERIOD, sig_digits=2)
-        assert_equivalent(
-            df,
-            f"""
-            SELECT CAST(FLOOR(seq / {PERIOD}) AS BIGINT) AS sub_id,
-                   FLOOR(value / POW(10, FLOOR(LOG10(value)) - 1) * (1+1e-10))
-                     * POW(10, FLOOR(LOG10(value)) - 1) AS value,
-                   COUNT(*) AS freq
             FROM events GROUP BY 1, 2
             """,
             events=events,
@@ -89,17 +74,71 @@ class TestSubwindowSummaries:
             np.testing.assert_array_equal(rows[s].top_k[0], summary.top_k[0.999])
             np.testing.assert_array_equal(rows[s].sample_k[0], summary.sample_k[0.999])
 
-    def test_quantized_summaries_match_kernel(self, spark, events, stream):
+    @pytest.mark.parametrize(
+        "make_stream",
+        # Pareto-sim holds integers below 100, where 3 digits keep a
+        # fractional scale, and values past 2^18, which take the
+        # quantizer's float path.
+        [lambda: netmon(8_000, seed=1), lambda: pareto_ds(20_000, seed=3)],
+        ids=["netmon", "pareto"],
+    )
+    def test_quantized_summaries_match_kernel(self, spark, make_stream):
+        stream = make_stream()
         rows = {
             r.sub_id: r
-            for r in subwindow_summaries(events, PERIOD, PHIS, sig_digits=3).collect()
+            for r in subwindow_summaries(
+                telemetry_events(spark, stream), PERIOD, PHIS, sig_digits=3
+            ).collect()
         }
         builder = SubWindowBuilder(PHIS, sig_digits=3)
-        for s in range(8):
+        for s in range(len(stream) // PERIOD):
             builder.accumulate_chunk(stream[s * PERIOD : (s + 1) * PERIOD])
             np.testing.assert_array_equal(
                 rows[s].quantiles, builder.finalize().quantiles
             )
+
+    def test_quantized_quantiles_match_oracle_sql(self, spark, events):
+        # 2 significant digits of positive integers, written in DuckDB SQL,
+        # then the ceil(phi*N) rank convention over the quantized values.
+        df = subwindow_summaries(events, PERIOD, (0.5, 0.99), sig_digits=2).select(
+            "sub_id",
+            F.col("quantiles")[0].alias("q50"),
+            F.col("quantiles")[1].alias("q99"),
+        )
+        assert_equivalent(
+            df,
+            f"""
+            WITH quantized AS (
+              SELECT CAST(FLOOR(seq / {PERIOD}) AS BIGINT) AS sub_id,
+                     FLOOR(value / POW(10, FLOOR(LOG10(value)) - 1) * (1+1e-10))
+                       * POW(10, FLOOR(LOG10(value)) - 1) AS value
+              FROM events),
+            ranked AS (
+              SELECT sub_id, value,
+                     ROW_NUMBER() OVER (PARTITION BY sub_id ORDER BY value) AS rnk,
+                     COUNT(*) OVER (PARTITION BY sub_id) AS cnt
+              FROM quantized)
+            SELECT sub_id,
+                   MAX(CASE WHEN rnk = CAST(CEIL(0.5 * cnt) AS BIGINT)
+                       THEN value END) AS q50,
+                   MAX(CASE WHEN rnk = CAST(CEIL(0.99 * cnt) AS BIGINT)
+                       THEN value END) AS q99
+            FROM ranked GROUP BY sub_id
+            """,
+            events=events,
+        )
+
+    def test_quantized_zero_and_negative(self, spark):
+        # Quantization truncates toward zero and keeps 0.0.
+        df = spark.createDataFrame(
+            pd.DataFrame({"seq": [0, 1, 2], "value": [0.0, -74_265.0, 74_265.0]})
+        )
+        (row,) = subwindow_summaries(df, 3, (0.3, 0.6, 1.0), sig_digits=3).collect()
+        assert row.quantiles == [-74_200.0, 0.0, 74_200.0]
+
+    def test_invalid_digits_raise_when_query_is_built(self, events):
+        with pytest.raises(ValueError):
+            subwindow_summaries(events, PERIOD, PHIS, sig_digits=0)
 
     def test_quantiles_match_oracle_sql(self, spark, events):
         # The paper's ceil(phi*N) rank convention, written directly in SQL.

@@ -143,15 +143,27 @@ class TestExactSpark:
         )
 
     def test_matches_numpy(self, spark, events, stream):
+        from repro.core.compression import quantize_sig
         from repro.core.quantile import exact_quantiles
 
-        rows = {r.w: r.estimates for r in exact_window_quantiles(events, SPEC, PHIS).collect()}
-        for e in range(SPEC.n_evaluations(len(stream))):
-            lo, hi = SPEC.window_bounds(e)
-            w = SPEC.n_subwindows - 1 + e
-            np.testing.assert_array_equal(
-                rows[w], exact_quantiles(stream[lo:hi], PHIS)
-            )
+        for sig_digits in (None, 2):
+            rows = {
+                r.w: r.estimates
+                for r in exact_window_quantiles(
+                    events, SPEC, PHIS, sig_digits=sig_digits
+                ).collect()
+            }
+            for e in range(SPEC.n_evaluations(len(stream))):
+                lo, hi = SPEC.window_bounds(e)
+                w = SPEC.n_subwindows - 1 + e
+                window = stream[lo:hi]
+                if sig_digits is not None:
+                    window = quantize_sig(window, sig_digits)
+                np.testing.assert_array_equal(rows[w], exact_quantiles(window, PHIS))
+
+    def test_invalid_digits_raise_when_query_is_built(self, events):
+        with pytest.raises(ValueError):
+            exact_window_quantiles(events, SPEC, PHIS, sig_digits=0)
 
     def test_qlove_value_error_small_vs_exact(self, spark, events):
         exact = {
