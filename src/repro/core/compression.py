@@ -81,21 +81,10 @@ def _quantize_float(v: np.ndarray, digits: int, lo: float, hi: float) -> np.ndar
         if a_min >= _FAST_MIN:
             e = np.floor(np.log10(a)).astype(np.intp)
             e -= digits - 1
-            if a_min < _POW10[digits - 1 - _POW10_LO]:
-                # Some |v| < 10^(digits - 1), so some e < 0, where 10^e is
-                # inexact: see _truncate. Data without such values keeps
-                # the plain scaling below.
-                inverse = (e < 0) & (e >= -_EXACT_POW10)
-                return _truncate(v, inverse, _POW10[np.where(inverse, -e, e) - _POW10_LO])
-            scale = _POW10[e - _POW10_LO]
-            # Every step below is odd-symmetric, so dividing v rather than
-            # |v| gives the masked path's sign(v) * trunc(ratio) * scale
-            # exactly.
-            out = v / scale
-            out *= 1.0 + 1e-10  # _truncate's inflation
-            np.trunc(out, out=out)
-            out *= scale
-            return out
+            inverse = (e < 0) & (e >= -_EXACT_POW10)
+            # _truncate is odd-symmetric, so passing v rather than |v| gives
+            # the masked path's sign(v) * _truncate(|v|) exactly.
+            return _truncate(v, inverse, _POW10[np.where(inverse, -e, e) - _POW10_LO])
     return _quantize_masked(v, digits)
 
 

@@ -24,6 +24,19 @@ def events(spark, stream):
     return telemetry_events(spark, stream).cache()
 
 
+def _assert_quantized_match(events, stream):
+    """Spark's 3-digit summaries of ``events`` equal the kernel builder's
+    over ``stream``, period by period."""
+    rows = {
+        r.sub_id: r
+        for r in subwindow_summaries(events, PERIOD, PHIS, sig_digits=3).collect()
+    }
+    builder = SubWindowBuilder(PHIS, sig_digits=3)
+    for s in range(len(stream) // PERIOD):
+        builder.accumulate_chunk(stream[s * PERIOD : (s + 1) * PERIOD])
+        np.testing.assert_array_equal(rows[s].quantiles, builder.finalize().quantiles)
+
+
 class TestFreqState:
     def test_matches_oracle(self, spark, events):
         df = freq_state(events, PERIOD)
@@ -74,35 +87,15 @@ class TestSubwindowSummaries:
             np.testing.assert_array_equal(rows[s].top_k[0], summary.top_k[0.999])
             np.testing.assert_array_equal(rows[s].sample_k[0], summary.sample_k[0.999])
 
-    def test_quantized_summaries_match_kernel(self, spark, events, stream):
-        rows = {
-            r.sub_id: r
-            for r in subwindow_summaries(events, PERIOD, PHIS, sig_digits=3).collect()
-        }
-        builder = SubWindowBuilder(PHIS, sig_digits=3)
-        for s in range(8):
-            builder.accumulate_chunk(stream[s * PERIOD : (s + 1) * PERIOD])
-            np.testing.assert_array_equal(
-                rows[s].quantiles, builder.finalize().quantiles
-            )
+    def test_quantized_summaries_match_kernel(self, events, stream):
+        _assert_quantized_match(events, stream)
 
     def test_pareto_quantized_summaries_match_kernel(self, spark):
         # Pareto-sim holds integers below 100, where 3 digits keep a
         # fractional scale, and values past 2^18, which take the
         # quantizer's float path.
         stream = pareto_ds(20_000, seed=3)
-        rows = {
-            r.sub_id: r
-            for r in subwindow_summaries(
-                telemetry_events(spark, stream), PERIOD, PHIS, sig_digits=3
-            ).collect()
-        }
-        builder = SubWindowBuilder(PHIS, sig_digits=3)
-        for s in range(len(stream) // PERIOD):
-            builder.accumulate_chunk(stream[s * PERIOD : (s + 1) * PERIOD])
-            np.testing.assert_array_equal(
-                rows[s].quantiles, builder.finalize().quantiles
-            )
+        _assert_quantized_match(telemetry_events(spark, stream), stream)
 
     def test_quantized_quantiles_match_oracle_sql(self, spark, events):
         # 2 significant digits of positive integers, written in DuckDB SQL,
