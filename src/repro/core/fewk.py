@@ -12,7 +12,7 @@ largest elements (the paper writes ``N(1-phi)``). Under a space budget
     sub-window. Enabled per-quantile only when ``P*(1-phi) < T_s`` (=10).
   - ``k_s`` (sample-k merging, bursty traffic): the remaining budget, spent
     on interval samples of the sub-window's top-K values at fraction
-    ``alpha = k_s / K`` (every ``i``-th ranked value, ``i ~ 1/alpha``).
+    ``alpha = k_s / K`` (every ``i``-th ranked value, ``i = round(K / k_s)``).
 
 Merging (window level):
   - top-k: the K-th largest of all in-window top-k caches.
@@ -26,11 +26,12 @@ one window to the next. For each cache kind of each phi, a
 cached values, of those ``<= g`` and of those ``== g``; a slide recounts
 only the entering and the leaving cache, in O(k). While the new rank still
 lands among the values equal to ``g`` the answer is ``g`` and no cache is
-read; otherwise the caches are merged once and the selection starts from
-``g``. The selected float is the one a full selection gives, so estimates
-do not change. :class:`WindowTails` holds these counts for one window, and
-:func:`topk_merge` / :func:`samplek_merge` without them do the full
-selection.
+read; otherwise the caches are read from the window's summaries, merged
+once, and the selection starts from ``g``. The selected float is the one a
+full selection gives, so estimates do not change. Level 2
+(:class:`~repro.core.qlove.SlidingMerge`) holds these counts beside its
+summaries, and :func:`topk_merge` / :func:`samplek_merge` without them do
+the full selection.
 
 The experiment tables parameterize both by a *fraction* ``f`` of the exact
 guarantee: ``k_t = ceil(f*K)`` (Table 3) or ``k_s = ceil(f*K)`` (Table 4);
@@ -39,21 +40,18 @@ guarantee: ``k_t = ceil(f*K)`` (Table 3) or ``k_s = ceil(f*K)`` (Table 4);
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.quantile import kth_largest_count
-from repro.core.summary import SubWindowSummary
 
 __all__ = [
     "STAT_INEFFICIENCY_THRESHOLD",
     "PhiBudget",
     "FewKConfig",
     "TailCounts",
-    "WindowTails",
     "topk_merge",
     "samplek_merge",
     "interval_sample",
@@ -79,11 +77,6 @@ class PhiBudget:
     big_k: int
     k_t: int
     k_s: int
-
-    @property
-    def alpha(self) -> float:
-        """Sampling fraction ``k_s / K`` of sample-k merging."""
-        return self.k_s / self.big_k if self.big_k else 0.0
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,9 @@ def interval_sample(ranked_desc: np.ndarray, k_s: int, big_k: int) -> np.ndarray
 
     ``ranked_desc`` holds a sub-window's values sorted descending (at least
     the top-``big_k`` prefix). Picks every ``i``-th ranked value with
-    ``i = floor(big_k / k_s)`` starting at rank ``i`` (1-indexed) — for
-    ``i=2`` that is "all even ranked values" as in Section 4.2, and for
-    ``alpha = 1`` it degenerates to the full top-``big_k`` prefix. The
+    ``i = max(1, round(big_k / k_s))`` starting at rank ``i`` (1-indexed)
+    — for ``i=2`` that is "all even ranked values" as in Section 4.2, and
+    for ``alpha = 1`` it degenerates to the full top-``big_k`` prefix. The
     result is a new array, so a cached sample never keeps ``ranked_desc``
     alive.
     """
@@ -194,42 +187,35 @@ def _kth_largest(values: np.ndarray, rank: int, pivot: float | None = None) -> f
 
 class TailCounts:
     """One few-k cache kind (top-k or sample-k) of one phi over a sliding
-    window of ``n`` sub-windows: the in-window caches, and how many cached
-    values there are in all (``total``), ``<= g`` (``le``) and ``== g``
-    (``eq``) for the last answer ``g``.
+    window: the last answer ``g`` and how many in-window cached values
+    there are in all (``total``), ``<= g`` (``le``) and ``== g`` (``eq``).
+    The caches themselves stay in the window's summaries.
     """
 
-    def __init__(self, n: int):
-        self.caches: deque[np.ndarray] = deque(maxlen=n)
+    def __init__(self):
         self.g: float | None = None
         self.total = 0
         self.le = 0
         self.eq = 0
 
-    def push(self, cache: np.ndarray) -> None:
-        """Slide by one cache: count out the leaving one, in O(k)."""
+    def count(self, cache: np.ndarray, sign: int) -> None:
+        """Count a cache into (``sign=1``) or out of (``-1``) the window, in O(k)."""
         cache = np.asarray(cache, dtype=np.float64)
-        if len(self.caches) == self.caches.maxlen:
-            # Before the append drops it from the deque.
-            self._count(self.caches[0], -1)
-        self.caches.append(cache)
-        self._count(cache, 1)
-
-    def _count(self, cache: np.ndarray, sign: int) -> None:
         self.total += sign * len(cache)
         if self.g is not None:
             self.le += sign * np.count_nonzero(cache <= self.g)
             self.eq += sign * np.count_nonzero(cache == self.g)
 
-    def kth_largest(self, rank: int) -> float:
-        """The ``rank``-th largest in-window cached value. ``g`` again while
-        the rank lands among the values equal to it (``above < rank <=
-        above + eq``), with no cache read; else one merge, a selection that
-        starts from ``g``, and the counts rebuilt against the new answer."""
+    def kth_largest(self, rank: int, caches: "Iterable[np.ndarray]") -> float:
+        """The ``rank``-th largest of the in-window ``caches``. ``g`` again
+        while the rank lands among the values equal to it (``above < rank
+        <= above + eq``), with no cache read; else one merge, a selection
+        that starts from ``g``, and the counts rebuilt against the new
+        answer."""
         above = self.total - self.le
         if self.g is not None and above < rank <= above + self.eq:
             return self.g
-        merged = np.concatenate(self.caches)
+        merged = _merged(caches)
         g = _kth_largest(merged, rank, self.g)
         self.g = g
         self.le = np.count_nonzero(merged <= g)
@@ -237,27 +223,8 @@ class TailCounts:
         return g
 
 
-class WindowTails:
-    """The few-k side of one sliding window, held by Level 2: a
-    :class:`TailCounts` per phi for each cache kind its budget keeps, and
-    the number of in-window sub-windows flagged bursty."""
-
-    def __init__(self, fewk: FewKConfig, n: int):
-        self.top_k = {b.phi: TailCounts(n) for b in fewk.budgets if b.k_t > 0}
-        self.sample_k = {b.phi: TailCounts(n) for b in fewk.budgets if b.k_s > 0}
-        self.bursty = 0
-        self._flags: deque[bool] = deque(maxlen=n)
-
-    def push(self, summary: SubWindowSummary) -> None:
-        """Slide by one summary, whose burst flag is already set."""
-        if len(self._flags) == self._flags.maxlen:
-            self.bursty -= self._flags[0]
-        self._flags.append(summary.bursty)
-        self.bursty += summary.bursty
-        for phi, tail in self.top_k.items():
-            tail.push(summary.top_k[phi])
-        for phi, tail in self.sample_k.items():
-            tail.push(summary.sample_k[phi])
+def _merged(caches: "Iterable[np.ndarray]") -> np.ndarray:
+    return np.concatenate([np.asarray(c, dtype=np.float64) for c in caches])
 
 
 def _total(caches, tail: TailCounts | None) -> int:
@@ -269,8 +236,8 @@ def _total(caches, tail: TailCounts | None) -> int:
 
 def _select(caches, rank: int, tail: TailCounts | None) -> float:
     if tail is not None:
-        return tail.kth_largest(rank)
-    return _kth_largest(np.concatenate([np.asarray(c, dtype=np.float64) for c in caches]), rank)
+        return tail.kth_largest(rank, caches)
+    return _kth_largest(_merged(caches), rank)
 
 
 def topk_merge(
@@ -280,8 +247,9 @@ def topk_merge(
 
     Best effort when fewer than ``big_k`` values were cached in total (small
     fractions): returns the smallest cached value, the closest available
-    rank. ``tail``, when given, is the :class:`TailCounts` whose
-    ``caches`` these are; the answer then comes from its counts.
+    rank. ``tail``, when given, is the :class:`TailCounts` that counts
+    these ``caches``; the answer then comes from its counts, and
+    ``caches`` is read only when the answer moves.
     """
     total = _total(caches, tail)
     return _select(caches, min(big_k, total), tail)

@@ -16,11 +16,11 @@ with period ``P`` (Figure 2):
 Few-k merging (Section 4) overrides the Level-2 mean per quantile: sample-k
 when a burst was detected inside the window, else top-k when the quantile is
 statistically inefficient at this period (``P*(1-phi) < T_s``). With few-k,
-:class:`SlidingMerge` also slides a :class:`~repro.core.fewk.WindowTails`:
-the in-window bursty count and, per cache kind and phi, counts of the
-cached values against the last answer. A slide then costs O(k) while the
-answer holds, whatever the window's ``n``, and merges the caches only when
-the answer moves.
+:class:`SlidingMerge` also keeps the in-window bursty count and, per cache
+kind and phi, a :class:`~repro.core.fewk.TailCounts` of the cached values
+against the last answer; its summaries stay the one record of the window.
+A slide then costs O(k) while the answer holds, whatever the window's
+``n``, and merges the caches only when the answer moves.
 
 :class:`SlidingMerge` is the one Level 2 of the kernel and the Spark few-k
 driver merge, fed the same summaries in ``sub_id`` order, so their window
@@ -37,12 +37,27 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.burst import BurstDetector
-from repro.core.fewk import FewKConfig, WindowTails, samplek_merge, topk_merge
+from repro.core.fewk import FewKConfig, TailCounts, samplek_merge, topk_merge
 from repro.core.subwindow import SubWindowBuilder
 from repro.core.summary import SubWindowSummary
 from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["QloveOperator", "SlidingMerge", "window_result"]
+
+
+class _Caches:
+    """One cache kind of one phi across a window's summaries, a sequence a
+    :class:`~repro.core.fewk.TailCounts` merge iterates only when the
+    answer moves, so a slide builds no list over the window."""
+
+    def __init__(self, summaries: Sequence[SubWindowSummary], kind: str, phi: float):
+        self._summaries, self._kind, self._phi = summaries, kind, phi
+
+    def __len__(self) -> int:
+        return len(self._summaries)
+
+    def __iter__(self):
+        return (getattr(s, self._kind)[self._phi] for s in self._summaries)
 
 
 def window_result(
@@ -51,7 +66,7 @@ def window_result(
     fewk: FewKConfig,
     *,
     means: np.ndarray | None = None,
-    tails: WindowTails | None = None,
+    merge: "SlidingMerge | None" = None,
 ) -> dict[float, float]:
     """Level-2 ComputeResult + few-k outcome selection (Section 4.3) for one
     window's worth of summaries.
@@ -61,11 +76,13 @@ def window_result(
     result if any member sub-window was flagged bursty, else top-k when
     enabled (statistical inefficiency), else the plain Level-2 mean. With
     no few-k budget and ``means`` given, ``summaries`` is never read, so a
-    plain slide costs O(l) whatever the window's ``n``. With ``tails``
-    (the window's :class:`~repro.core.fewk.WindowTails`), neither the burst
-    test nor the merges walk ``summaries`` (sample-k reads the period ``P``
-    from the last one's count); without it both walk them and each merge
-    is a full selection.
+    plain slide costs O(l) whatever the window's ``n``. With ``merge`` (the
+    :class:`SlidingMerge` whose window ``summaries`` is), the burst test
+    reads its bursty count and each merge answers from its
+    :class:`~repro.core.fewk.TailCounts`, reading the caches only when the
+    answer moves (sample-k reads the period ``P`` from the last summary's
+    count); without it both walk ``summaries`` and each merge is a full
+    selection.
     """
     if means is None:
         means = np.mean([s.quantiles for s in summaries], axis=0)
@@ -73,14 +90,13 @@ def window_result(
         return dict(zip(phis, means.tolist()))
 
     def caches(kind: str, phi: float):
-        if tails is None:
+        if merge is None:
             return [getattr(s, kind)[phi] for s in summaries], None
-        tail = getattr(tails, kind)[phi]
-        return tail.caches, tail
+        return _Caches(summaries, kind, phi), merge.tail_counts[kind][phi]
 
     result: dict[float, float] = {}
     period = summaries[-1].count  # every in-window sub-window holds P values
-    any_burst = tails.bursty > 0 if tails is not None else any(s.bursty for s in summaries)
+    any_burst = merge.bursty > 0 if merge is not None else any(s.bursty for s in summaries)
     for i, phi in enumerate(phis):
         budget = fewk.budget_for(phi)
         if budget is not None and budget.k_s > 0 and any_burst:
@@ -99,9 +115,12 @@ class SlidingMerge:
     window estimates, one slide per summary.
 
     Holds the last ``n`` summaries, their per-phi running sums, their
-    stored-variable count, the burst detector and, with few-k, the
-    window's :class:`~repro.core.fewk.WindowTails`. Summaries must arrive in
-    ``sub_id`` order starting at 0; ``next_sub_id`` is the one expected.
+    stored-variable count, the burst detector and, with few-k, the number
+    of in-window summaries flagged bursty (``bursty``) and a
+    :class:`~repro.core.fewk.TailCounts` per cache kind and phi
+    (``tail_counts``). Each slide counts the entering summary in and the
+    leaving one out of all of them. Summaries must arrive in ``sub_id``
+    order starting at 0; ``next_sub_id`` is the one expected.
     """
 
     def __init__(
@@ -128,7 +147,11 @@ class SlidingMerge:
         self.next_sub_id = 0
         self._burst_phi = fewk.burst_phi
         self._detector = BurstDetector(alpha=burst_alpha)
-        self._tails = WindowTails(fewk, self.n) if fewk.budgets else None
+        self.bursty = 0
+        self.tail_counts = {
+            "top_k": {b.phi: TailCounts() for b in fewk.budgets if b.k_t > 0},
+            "sample_k": {b.phi: TailCounts() for b in fewk.budgets if b.k_s > 0},
+        }
 
     def push(self, summary: SubWindowSummary) -> dict[float, float] | None:
         """Slide by one sub-window; returns ``{phi: estimate}`` for the
@@ -143,22 +166,33 @@ class SlidingMerge:
                 summary.sample_k.get(self._burst_phi, np.empty(0))
             )
         if len(self.summaries) == self.n:
-            self.sums -= self.summaries[0].quantiles  # Level-2 Deaccumulate
+            leaving = self.summaries[0]  # before the append drops it
+            self.sums -= leaving.quantiles  # Level-2 Deaccumulate
             self.space -= self._spaces[0]
+            if self.fewk.budgets:
+                self._count_fewk(leaving, -1)
         self.summaries.append(summary)
         self._spaces.append(summary.space())
         self.sums += summary.quantiles  # Level-2 Accumulate
         self.space += self._spaces[-1]
-        if self._tails is not None:
-            self._tails.push(summary)
+        if self.fewk.budgets:
+            self._count_fewk(summary, 1)
         if len(self.summaries) < self.n:
             return None  # window not yet full
         means = self.sums / self.n
         # A plain slide keeps the stateless call: perfbench/selftest.py
         # swaps in a window_result(summaries, phis, fewk, *, means) double.
-        if self._tails is None:
+        if not self.fewk.budgets:
             return window_result(self.summaries, self.phis, self.fewk, means=means)
-        return window_result(self.summaries, self.phis, self.fewk, means=means, tails=self._tails)
+        return window_result(self.summaries, self.phis, self.fewk, means=means, merge=self)
+
+    def _count_fewk(self, summary: SubWindowSummary, sign: int) -> None:
+        """Count a summary's burst flag and caches into (``sign=1``) or out
+        of (``-1``) the window's few-k state, in O(k)."""
+        self.bursty += sign * summary.bursty
+        for kind, tails in self.tail_counts.items():
+            for phi, tail in tails.items():
+                tail.count(getattr(summary, kind)[phi], sign)
 
 
 class QloveOperator:

@@ -44,10 +44,6 @@ class WindowSpec:
     def is_tumbling(self) -> bool:
         return self.size == self.period
 
-    def sub_ids(self, seq: np.ndarray) -> np.ndarray:
-        """Sub-window id of each 0-based stream sequence number."""
-        return np.asarray(seq, dtype=np.int64) // self.period
-
     def n_evaluations(self, stream_len: int) -> int:
         """How many full-window evaluations a stream of this length yields.
 

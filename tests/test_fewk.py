@@ -54,10 +54,6 @@ class TestBudgets:
         b = cfg.budget_for(0.99)
         assert b.k_t == b.big_k
 
-    def test_alpha(self):
-        b = PhiBudget(phi=0.999, big_k=132, k_t=0, k_s=66)
-        assert b.alpha == pytest.approx(0.5)
-
     def test_max_tail(self):
         cfg = FewKConfig(
             budgets=(

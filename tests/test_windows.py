@@ -1,5 +1,4 @@
 """Unit tests for the windowing model (streams/windows.py)."""
-import numpy as np
 import pytest
 
 from repro.streams.windows import WindowSpec
@@ -20,12 +19,6 @@ class TestWindowSpec:
     def test_invalid(self, size, period):
         with pytest.raises(ValueError):
             WindowSpec(size=size, period=period)
-
-    def test_sub_ids(self):
-        spec = WindowSpec(size=8, period=4)
-        np.testing.assert_array_equal(
-            spec.sub_ids(np.arange(10)), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-        )
 
     def test_n_evaluations_exact_window(self):
         spec = WindowSpec(size=8, period=4)
