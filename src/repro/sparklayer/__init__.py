@@ -4,8 +4,9 @@ DataFrame / Spark SQL API (see DESIGN.md section 3).
   - :mod:`repro.sparklayer.events` — event-stream DataFrames and sub-window
     assignment.
   - :mod:`repro.sparklayer.level1` — Level-1 frequency state over raw values
-    and summaries (``groupBy(sub_id, value).count()`` + ``applyInArrow``,
-    which quantizes with the kernel's ``quantize_sig``).
+    (``groupBy(sub_id, value).count()``), brought to the driver by
+    ``toArrow()`` and summarized there with the kernel's ``quantize_sig``
+    and ``summarize``.
   - :mod:`repro.sparklayer.level2` — Level-2 sliding mean as one window-frame
     pass over the summaries.
   - :mod:`repro.sparklayer.qlove_spark` — end-to-end QLOVE estimates.

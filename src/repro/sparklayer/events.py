@@ -4,8 +4,8 @@ An event stream is a DataFrame ``(seq BIGINT, value DOUBLE)`` where ``seq``
 is the 0-based arrival order (the element timestamp of count-based
 windows). :func:`with_sub_id` assigns each event its Level-1 sub-window.
 Values stay raw in Spark: Section 3.1's compression is applied by the
-kernel's :func:`repro.core.compression.quantize_sig` where a group's values
-reach Python (:mod:`.level1`, :mod:`.exact_spark`).
+kernel's :func:`repro.core.compression.quantize_sig` where values reach
+Python (the driver in :mod:`.level1`, a group function in :mod:`.exact_spark`).
 """
 from __future__ import annotations
 

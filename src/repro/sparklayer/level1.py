@@ -1,19 +1,22 @@
-"""Level-1 sub-window summaries as a Spark dataflow (Section 3.1).
+"""Level-1 sub-window summaries: a Spark state query finalized on the
+driver (Section 3.1).
 
 The paper's frequency-compressed Level-1 state ``{value -> count}`` is
-exactly a relational group-by: ``events.groupBy(sub_id, value).count()``.
-Summaries (exact per-sub-window quantiles plus few-k tail caches) are then
-computed per sub-window with ``applyInArrow`` over that state — one Arrow
-group per sub-window, embarrassingly parallel across sub-windows.
+exactly a relational group-by: ``events.groupBy(sub_id, value).count()``
+over raw values (:func:`freq_state`). That aggregation is the
+data-parallel part of Level 1 and stays in Spark. Its rows come to the
+driver in one ``toArrow()``, and :func:`collect_summaries` finalizes every
+sub-window with the kernel's own code: it quantizes the state's values
+once with :func:`~repro.core.compression.quantize_sig` (element by
+element, so as the kernel does per chunk), expands them by ``freq``
+(``np.repeat``) and calls :func:`~repro.core.subwindow.summarize` over each
+sub-window's sorted slice. So every summary is bit-identical to the
+kernel's on any data (tested in ``tests/test_spark_level1.py``), and no
+Python worker runs.
 
-The group function expands the group's raw ``(value, freq)`` rows
-(``np.repeat``, at most ``P`` floats), then quantizes, sorts and summarizes
-them as :class:`repro.core.subwindow.SubWindowBuilder` does, with the
-kernel's :func:`~repro.core.compression.quantize_sig` and
-:func:`~repro.core.subwindow.summarize`. So every summary is bit-identical
-to the kernel's on any data (tested in ``tests/test_spark_level1.py``).
-This module alone knows the row format of :data:`SUMMARY_SCHEMA`:
-:func:`row_to_summary` decodes what the group function encodes.
+The trade-off: the driver holds the whole state (one row per distinct
+value per sub-window) and runs the ``P``-sized sorts on one thread
+(DESIGN.md section 3).
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from repro.core.subwindow import summarize
 from repro.core.summary import SubWindowSummary
 from repro.sparklayer.events import with_sub_id
 
-__all__ = ["freq_state", "subwindow_summaries", "row_to_summary", "SUMMARY_SCHEMA"]
+__all__ = ["freq_state", "collect_summaries", "subwindow_summaries", "SUMMARY_SCHEMA"]
 
 SUMMARY_SCHEMA = StructType(
     [
@@ -68,38 +71,53 @@ def _summary_to_row(s: SubWindowSummary, fewk: FewKConfig) -> dict:
     }
 
 
-def row_to_summary(row, fewk: FewKConfig) -> SubWindowSummary:
-    """Decode one :data:`SUMMARY_SCHEMA` row into a kernel summary."""
-
-    def caches(lists) -> dict[float, np.ndarray]:
-        return {
-            b.phi: np.asarray(vals, dtype=np.float64)
-            for b, vals in zip(fewk.budgets, lists)
-            if len(vals)
-        }
-
-    return SubWindowSummary(
-        sub_id=int(row["sub_id"]),
-        count=int(row["count"]),
-        quantiles=np.asarray(row["quantiles"], dtype=np.float64),
-        top_k=caches(row["top_k"]),
-        sample_k=caches(row["sample_k"]),
-    )
-
-
 def freq_state(events: DataFrame, period: int) -> DataFrame:
     """The Level-1 state, relationally: ``(sub_id, value, freq)``.
 
     This is the paper's red-black-tree state expressed as a group-by over
     raw values — the degree of duplicates in the workload directly shrinks
     this relation (the ``O(P)`` term of Section 3.2); quantization, applied
-    later per sub-window, does not.
+    later on the driver, does not.
     """
     return (
         with_sub_id(events, period)
         .groupBy("sub_id", "value")
         .agg(F.count(F.lit(1)).alias("freq"))
     )
+
+
+def collect_summaries(
+    events: DataFrame,
+    period: int,
+    phis: Sequence[float],
+    *,
+    sig_digits: int | None = None,
+    fewk: FewKConfig | None = None,
+) -> list[SubWindowSummary]:
+    """Every sub-window's summary in ``sub_id`` order, a trailing partial
+    one included: :func:`freq_state` runs in Spark, and the driver
+    finalizes its rows as :class:`repro.core.subwindow.SubWindowBuilder`
+    finalizes a period."""
+    if sig_digits is not None and sig_digits < 1:
+        raise ValueError(f"need sig_digits >= 1, got {sig_digits}")
+    phis = tuple(phis)
+    cfg = fewk or FewKConfig()
+    state = freq_state(events, period).toArrow()
+    sub = state.column("sub_id").to_numpy()
+    raw = state.column("value").to_numpy()
+    order = np.lexsort((raw, sub))
+    sub, raw = sub[order], raw[order]
+    freq = state.column("freq").to_numpy()[order]
+    if sig_digits is not None:
+        raw = quantize_sig(raw, sig_digits)
+    values = np.repeat(raw, freq)
+    # The first state row of each sub-window, and where its values start.
+    first = np.flatnonzero(np.diff(sub, prepend=sub[:1] - 1))
+    bounds = np.append(np.concatenate(([0], np.cumsum(freq)))[first], len(values))
+    return [
+        summarize(np.sort(values[a:b]), phis, cfg, int(s))
+        for s, a, b in zip(sub[first], bounds[:-1], bounds[1:])
+    ]
 
 
 def subwindow_summaries(
@@ -112,28 +130,12 @@ def subwindow_summaries(
 ) -> DataFrame:
     """Per-sub-window summaries: ``(sub_id, count, quantiles, top_k, sample_k)``.
 
-    Equivalent to running :class:`repro.core.subwindow.SubWindowBuilder`
-    over every sub-window, but data-parallel: the frequency state is built
-    by Spark's shuffle and each summary by one ``applyInArrow`` group.
+    The rows of :func:`collect_summaries`, as a DataFrame over a local
+    Arrow table (the driver already holds them).
     """
-    if sig_digits is not None and sig_digits < 1:
-        raise ValueError(f"need sig_digits >= 1, got {sig_digits}")
-    phis = tuple(phis)
     cfg = fewk or FewKConfig()
-    state = freq_state(events, period)
-
-    # Unannotated on purpose: with ``from __future__ import annotations`` the
-    # hints are strings, and PySpark 4.1's applyInArrow then fails to infer
-    # the function form (UnboundLocalError: eval_type).
-    def group_summary(table):
-        values = np.repeat(
-            table.column("value").to_numpy().astype(np.float64, copy=False),
-            table.column("freq").to_numpy().astype(np.int64, copy=False),
-        )
-        if sig_digits is not None:
-            values = quantize_sig(values, sig_digits)
-        sub_id = table.column("sub_id")[0].as_py()
-        s = summarize(np.sort(values), phis, cfg, sub_id)
-        return pa.Table.from_pylist([_summary_to_row(s, cfg)], schema=_SUMMARY_ARROW_SCHEMA)
-
-    return state.groupBy("sub_id").applyInArrow(group_summary, SUMMARY_SCHEMA)
+    summaries = collect_summaries(events, period, phis, sig_digits=sig_digits, fewk=cfg)
+    table = pa.Table.from_pylist(
+        [_summary_to_row(s, cfg) for s in summaries], schema=_SUMMARY_ARROW_SCHEMA
+    )
+    return events.sparkSession.createDataFrame(table)
