@@ -32,6 +32,12 @@ from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["MomentSketch", "MomentPolicy", "inv_norm_cdf"]
 
+# Gauss-Legendre nodes and Newton iterations of the maxent fit, and points
+# of the grid the CDF is inverted on.
+N_QUAD = 64
+MAX_ITER = 60
+N_GRID = 2048
+
 
 def inv_norm_cdf(p: float) -> float:
     """Inverse standard-normal CDF (Acklam's rational approximation,
@@ -154,17 +160,17 @@ class MomentSketch:
             cheb[j] = float(np.dot(coeffs, power[: len(coeffs)]))
         return cheb
 
-    def _maxent_lambda(self, n_quad: int = 64, max_iter: int = 60) -> np.ndarray | None:
+    def _maxent_lambda(self) -> np.ndarray | None:
         """Damped Newton solve of the maxent moment-matching problem."""
         target = self._chebyshev_moments()
-        nodes, quad_w = np.polynomial.legendre.leggauss(n_quad)
+        nodes, quad_w = np.polynomial.legendre.leggauss(N_QUAD)
         # T[j, q] = T_j(node_q)
         T = np.array(
             [np.polynomial.chebyshev.chebval(nodes, np.eye(self.k + 1)[j]) for j in range(self.k + 1)]
         )
         lam = np.zeros(self.k + 1)
         lam[0] = -math.log(2.0)  # start at the uniform density on [-1, 1]
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             expo = lam @ T
             m = float(expo.max())
             expo -= m
@@ -202,21 +208,21 @@ class MomentSketch:
                 return None
         return None
 
-    def quantiles(self, phis: Sequence[float], n_grid: int = 2048) -> tuple[np.ndarray, bool]:
+    def quantiles(self, phis: Sequence[float]) -> tuple[np.ndarray, bool]:
         """Estimate phi-quantiles of x. Returns (values, used_fallback)."""
         a, b = self.z_min, self.z_max
         if b - a < 1e-12:
             return np.full(len(phis), math.exp(a)), False
         lam = self._maxent_lambda()
         if lam is not None:
-            y = np.linspace(-1.0, 1.0, n_grid)
+            y = np.linspace(-1.0, 1.0, N_GRID)
             T = np.array(
                 [np.polynomial.chebyshev.chebval(y, np.eye(self.k + 1)[j]) for j in range(self.k + 1)]
             )
             expo = lam @ T
             expo -= expo.max()
             f = np.exp(expo)
-            weights = np.full(n_grid, 2.0 / (n_grid - 1))
+            weights = np.full(N_GRID, 2.0 / (N_GRID - 1))
             weights[[0, -1]] /= 2.0  # trapezoid
             z_grid = float((weights * f).sum())
             # Validate on the evaluation grid: a solution that only

@@ -5,7 +5,7 @@ The paper's baseline (4): "a state of the art using sampling to bound rank
 error with constant probabilities". Reproduced as per-sub-window uniform
 random samples (without replacement) merged over the window — the
 windowed form of the classic bounded-space sampler: a total budget of
-``ceil(c / eps^2)`` sampled elements per window gives rank error
+``ceil(1 / eps^2)`` sampled elements per window gives rank error
 ``O(eps)`` with constant probability, split evenly across the ``N/P``
 sub-windows so expiry drops one sub-window's sample at a time.
 
@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.quantile import exact_quantiles_sorted
 from repro.streams.windows import PeriodBuffer, WindowSpec
 
 __all__ = ["RandomPolicy"]
@@ -35,7 +36,6 @@ class RandomPolicy:
         phis: Sequence[float],
         *,
         epsilon: float = 0.02,
-        budget_constant: float = 1.0,
         seed: int = 7,
     ):
         if not (0 < epsilon < 1):
@@ -43,7 +43,7 @@ class RandomPolicy:
         self.spec = spec
         self.phis = tuple(phis)
         self.epsilon = epsilon
-        total = math.ceil(budget_constant / epsilon**2)
+        total = math.ceil(1.0 / epsilon**2)
         self.sample_per_sub = max(1, min(spec.period, math.ceil(total / spec.n_subwindows)))
         self._rng = np.random.default_rng(seed)
         self._samples: deque[np.ndarray] = deque(maxlen=spec.n_subwindows)
@@ -58,10 +58,7 @@ class RandomPolicy:
         if len(self._samples) < self.spec.n_subwindows:
             return None
         merged = np.sort(np.concatenate(list(self._samples)))
-        return {
-            p: float(merged[min(max(1, math.ceil(p * len(merged))), len(merged)) - 1])
-            for p in self.phis
-        }
+        return dict(zip(self.phis, exact_quantiles_sorted(merged, self.phis).tolist()))
 
     def space_observed(self) -> int:
         return sum(len(s) for s in self._samples)

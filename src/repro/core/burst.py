@@ -20,8 +20,8 @@ from repro.core.quantile import sorted_runs
 
 __all__ = ["mann_whitney_u", "BurstDetector", "MannWhitneyResult"]
 
-# Normal-approximation one-sided critical values for common alphas.
-_Z = {0.10: 1.2816, 0.05: 1.6449, 0.025: 1.9600, 0.01: 2.3263, 0.005: 2.5758}
+# One-sided normal critical value at significance level alpha = 0.01.
+Z_CRIT = 2.3263
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class MannWhitneyResult:
     greater: bool
 
 
-def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhitneyResult:
+def mann_whitney_u(x: np.ndarray, y: np.ndarray) -> MannWhitneyResult:
     """One-sided Mann-Whitney U test of H1: ``x`` stochastically larger than ``y``.
 
     Returns the U statistic for ``x``, the tie-corrected normal z-score, and
-    ``greater=True`` when H0 is rejected at level ``alpha``.
+    ``greater=True`` when H0 is rejected at level 0.01 (``z > Z_CRIT``).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -61,10 +61,7 @@ def mann_whitney_u(x: np.ndarray, y: np.ndarray, alpha: float = 0.01) -> MannWhi
     if var_u <= 0:
         return MannWhitneyResult(u=u, z=0.0, greater=False)
     z = (u - mean_u) / np.sqrt(var_u)
-    z_crit = _Z.get(alpha)
-    if z_crit is None:
-        raise ValueError(f"unsupported alpha {alpha}; choose from {sorted(_Z)}")
-    return MannWhitneyResult(u=u, z=float(z), greater=bool(z > z_crit))
+    return MannWhitneyResult(u=u, z=float(z), greater=bool(z > Z_CRIT))
 
 
 class BurstDetector:
@@ -74,8 +71,7 @@ class BurstDetector:
     Stateless across streams apart from the previous sub-window's samples.
     """
 
-    def __init__(self, alpha: float = 0.01):
-        self.alpha = alpha
+    def __init__(self):
         self._prev: np.ndarray | None = None
 
     def observe(self, samples: np.ndarray) -> bool:
@@ -84,4 +80,4 @@ class BurstDetector:
         prev, self._prev = self._prev, samples
         if prev is None or len(prev) == 0 or len(samples) == 0:
             return False
-        return mann_whitney_u(samples, prev, alpha=self.alpha).greater
+        return mann_whitney_u(samples, prev).greater

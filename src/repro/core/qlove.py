@@ -123,13 +123,7 @@ class SlidingMerge:
     order starting at 0; ``next_sub_id`` is the one expected.
     """
 
-    def __init__(
-        self,
-        spec: WindowSpec,
-        phis: Sequence[float],
-        fewk: FewKConfig,
-        burst_alpha: float = 0.01,
-    ):
+    def __init__(self, spec: WindowSpec, phis: Sequence[float], fewk: FewKConfig):
         self.n = spec.n_subwindows
         self.phis = tuple(phis)
         self.fewk = fewk
@@ -146,7 +140,7 @@ class SlidingMerge:
         self._spaces: deque[int] = deque(maxlen=self.n)
         self.next_sub_id = 0
         self._burst_phi = fewk.burst_phi
-        self._detector = BurstDetector(alpha=burst_alpha)
+        self._detector = BurstDetector()
         self.bursty = 0
         self.tail_counts = {
             "top_k": {b.phi: TailCounts() for b in fewk.budgets if b.k_t > 0},
@@ -213,7 +207,6 @@ class QloveOperator:
         *,
         sig_digits: int | None = None,
         fewk: FewKConfig | None = None,
-        burst_alpha: float = 0.01,
         l1_mode: str = "lazy",
     ):
         self.spec = spec
@@ -223,7 +216,7 @@ class QloveOperator:
         self._builder = SubWindowBuilder(
             self.phis, sig_digits=sig_digits, fewk=self.fewk, l1_mode=l1_mode
         )
-        self._merge = SlidingMerge(spec, self.phis, self.fewk, burst_alpha)
+        self._merge = SlidingMerge(spec, self.phis, self.fewk)
         self._cut = PeriodBuffer(spec.period)
 
     def observe_chunk(self, values: np.ndarray) -> list[dict[float, float]]:

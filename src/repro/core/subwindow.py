@@ -6,9 +6,9 @@ plus the raw-tail caches few-k merging needs. The sorted array is the
 in-order traversal of the paper's ``{value -> count}`` tree, so every
 answer is an index or a slice into it. It is the one Level-1
 ``ComputeResult`` of the repository: the kernel's :class:`SubWindowBuilder`
-(which the streaming state handler runs), the Spark batch driver's
-finalization of the Level-1 state and the Spark exact reference all call
-it, so their summaries are bit-identical on the same input.
+(which the streaming state handler runs) and the Spark batch driver's
+finalization of the Level-1 state both call it, so their summaries are
+bit-identical on the same input.
 
 :class:`SubWindowBuilder` maintains the in-flight state of the kernel. The
 paper keeps the state in a red-black tree to stay sorted under per-element

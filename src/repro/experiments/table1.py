@@ -24,15 +24,6 @@ SPEC = WindowSpec(size=131_072, period=16_384)
 EPSILON = 0.02
 MOMENT_K = 12
 
-# The paper's Table 1, for side-by-side comparison in EXPERIMENTS.md.
-PAPER = {
-    "QLOVE": {"rank": (0.0016, 0.0005, 0.0002, 0.0001), "value": (0.10, 0.06, 0.78, 4.40), "space": (16_416, 3_340)},
-    "CMQS": {"rank": (0.0034, 0.0018, 0.0009, 0.0007), "value": (0.31, 0.26, 1.78, 28.47), "space": (33_504, 31_194)},
-    "AM": {"rank": (0.0020, 0.0011, 0.0004, 0.0004), "value": (0.24, 0.20, 0.94, 13.25), "space": (45_309, 36_253)},
-    "Random": {"rank": (0.0021, 0.0012, 0.0005, 0.0005), "value": (0.20, 0.20, 1.00, 16.69), "space": (45_611, 68_001)},
-    "Moment": {"rank": (0.018, 0.0017, 0.0004, 0.0002), "value": (0.98, 0.28, 0.76, 9.30), "space": (None, 16_596)},
-}
-
 
 def policies():
     return [

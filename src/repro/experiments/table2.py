@@ -17,16 +17,6 @@ PHIS = (0.5, 0.9, 0.99, 0.999)
 WINDOW = 131_072
 PERIODS = (65_536, 32_768, 16_384, 8_192, 4_096, 2_048, 1_024)
 
-PAPER = {  # period -> value error % per phi
-    65_536: (0.04, 0.03, 0.13, 1.82),
-    32_768: (0.06, 0.04, 0.27, 3.31),
-    16_384: (0.10, 0.06, 0.78, 4.40),
-    8_192: (0.15, 0.08, 1.27, 7.04),
-    4_096: (0.22, 0.10, 1.73, 10.46),
-    2_048: (0.28, 0.14, 2.27, 10.55),
-    1_024: (0.35, 0.27, 3.39, 18.93),
-}
-
 
 def run(
     n_events: int | None = None,

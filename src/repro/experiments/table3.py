@@ -20,13 +20,6 @@ WINDOW = 131_072
 PERIODS = (8_192, 4_096, 2_048, 1_024)
 FRACTIONS = (0.1, 0.5)
 
-PAPER = {  # (fraction, period) -> "err (space)"
-    (0.1, 8_192): "5.54 (209)", (0.1, 4_096): "2.43 (419)",
-    (0.1, 2_048): "1.67 (838)", (0.1, 1_024): "1.30 (1,677)",
-    (0.5, 8_192): "0.68 (1,049)", (0.5, 4_096): "0.40 (2,097)",
-    (0.5, 2_048): "0.36 (4,194)", (0.5, 1_024): "0.35 (8,389)",
-}
-
 
 def run(
     n_events: int | None = None,

@@ -24,15 +24,6 @@ WINDOW = 131_072
 PERIODS = (16_384, 4_096)
 FRACTIONS = (0.0, 0.1, 0.5)
 
-PAPER = {  # (fraction, period, phi) -> "err (space)"
-    (0.0, 16_384, 0.99): "0.08 (0)", (0.0, 16_384, 0.999): "44.10 (0)",
-    (0.0, 4_096, 0.99): "28.15 (0)", (0.0, 4_096, 0.999): "55.36 (0)",
-    (0.1, 16_384, 0.99): "0.14 (1,048)", (0.1, 16_384, 0.999): "25.97 (104)",
-    (0.1, 4_096, 0.99): "0.43 (4,194)", (0.1, 4_096, 0.999): "17.38 (419)",
-    (0.5, 16_384, 0.99): "0.05 (5,242)", (0.5, 16_384, 0.999): "1.75 (524)",
-    (0.5, 4_096, 0.99): "0.30 (20,971)", (0.5, 4_096, 0.999): "1.52 (2,097)",
-}
-
 
 def run(
     n_events: int | None = None,

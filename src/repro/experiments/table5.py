@@ -31,13 +31,6 @@ AR1_PSIS = (0.0, 0.2, 0.8)
 PARETO_PHI = 0.999
 PARETO_EPSILON = 0.02
 
-PAPER_AR1 = {  # psi -> relative error (ratio, not %) per phi
-    0.0: (3.46e-5, 1.23e-4, 8.88e-4),
-    0.2: (3.47e-5, 1.39e-4, 9.84e-4),
-    0.8: (5.66e-5, 3.35e-4, 1.56e-3),
-}
-PAPER_PARETO = {"QLOVE": 4.00, "AM": 29.22, "Random": 35.17}
-
 
 def run_ar1(
     n_events: int | None = None, *, seed: int = 0, psis=AR1_PSIS, spark=None

@@ -10,6 +10,5 @@ DataFrame / Spark SQL API (see DESIGN.md section 3).
   - :mod:`repro.sparklayer.level2` — Level-2 sliding mean as one window-frame
     pass over the summaries.
   - :mod:`repro.sparklayer.qlove_spark` — end-to-end QLOVE estimates.
-  - :mod:`repro.sparklayer.exact_spark` — exact per-window quantiles in Spark.
   - :mod:`repro.sparklayer.streaming` — Structured Streaming stateful QLOVE.
 """

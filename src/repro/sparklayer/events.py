@@ -5,7 +5,7 @@ is the 0-based arrival order (the element timestamp of count-based
 windows). :func:`with_sub_id` assigns each event its Level-1 sub-window.
 Values stay raw in Spark: Section 3.1's compression is applied by the
 kernel's :func:`repro.core.compression.quantize_sig` where values reach
-Python (the driver in :mod:`.level1`, a group function in :mod:`.exact_spark`).
+Python, on the driver in :mod:`.level1`.
 """
 from __future__ import annotations
 

@@ -51,7 +51,6 @@ def qlove_estimates(
     *,
     sig_digits: int | None = None,
     fewk: FewKConfig | None = None,
-    burst_alpha: float = 0.01,
 ) -> DataFrame:
     """QLOVE estimates per complete window: ``(w, estimates ARRAY<DOUBLE>)``.
 
@@ -78,7 +77,7 @@ def qlove_estimates(
             continue
         if merge is None or summary.sub_id != merge.next_sub_id:
             # No window spans a missing sub-window: Level 2 starts afresh.
-            merge = SlidingMerge(spec, phis, cfg, burst_alpha)
+            merge = SlidingMerge(spec, phis, cfg)
             merge.next_sub_id = summary.sub_id
         res = merge.push(summary)
         if res is not None:

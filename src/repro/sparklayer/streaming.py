@@ -51,7 +51,6 @@ def make_handler(
     *,
     sig_digits: int | None = None,
     fewk: FewKConfig | None = None,
-    burst_alpha: float = 0.01,
 ):
     """Build the applyInPandasWithState handler closure."""
     phis = tuple(phis)
@@ -66,9 +65,7 @@ def make_handler(
                 "next_seq": 0,
                 "seq": np.empty(0, dtype=np.int64),
                 "value": np.empty(0, dtype=np.float64),
-                "op": QloveOperator(
-                    spec, phis, sig_digits=sig_digits, fewk=fewk, burst_alpha=burst_alpha
-                ),
+                "op": QloveOperator(spec, phis, sig_digits=sig_digits, fewk=fewk),
             }
         pdfs = list(pdfs)
         seq = np.concatenate([st["seq"], *(p["seq"].to_numpy(dtype=np.int64) for p in pdfs)])
@@ -109,7 +106,6 @@ def qlove_streaming(
     *,
     sig_digits: int | None = None,
     fewk: FewKConfig | None = None,
-    burst_alpha: float = 0.01,
 ) -> DataFrame:
     """Wire QLOVE's stateful handler into a streaming events DataFrame.
 
@@ -123,9 +119,7 @@ def qlove_streaming(
     starts from its checkpoint, and every micro-batch visits every
     partition, so set it near the number of stream ids before ``start()``.
     """
-    handler = make_handler(
-        spec, phis, sig_digits=sig_digits, fewk=fewk, burst_alpha=burst_alpha
-    )
+    handler = make_handler(spec, phis, sig_digits=sig_digits, fewk=fewk)
     return events_stream.groupBy("stream_id").applyInPandasWithState(
         handler,
         outputStructType=OUTPUT_SCHEMA,

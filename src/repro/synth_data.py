@@ -15,6 +15,11 @@ import pandas as pd
 if TYPE_CHECKING:  # Spark is loaded only by callers of telemetry_events
     from pyspark.sql import DataFrame, SparkSession
 
+# Search-sim's response-time cap in microseconds (the 200 ms serving SLA).
+SEARCH_SLA_US = 200_000.0
+# Scale applied to the top values of a burst sub-window (Section 5.3).
+BURST_FACTOR = 10.0
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -44,18 +49,19 @@ def netmon(n: int, *, seed: int = 10) -> np.ndarray:
     return np.maximum(np.rint(values), 1.0)
 
 
-def search(n: int, *, seed: int = 11, sla_us: int = 200_000) -> np.ndarray:
+def search(n: int, *, seed: int = 11) -> np.ndarray:
     """Search-sim: ISN query response times in integer microseconds.
 
-    Lognormal response times hard-capped at the serving SLA (footnote 1:
-    "Search ISN limits query execution to take up to the pre-defined
-    response time SLA, e.g., 200 ms"), which concentrates ~2% of the mass
-    at the cap — the high tail density that makes all of the paper's Search
-    relative errors fall below 1% without few-k merging.
+    Lognormal response times hard-capped at the serving SLA,
+    ``SEARCH_SLA_US`` (footnote 1: "Search ISN limits query execution to
+    take up to the pre-defined response time SLA, e.g., 200 ms"), which
+    concentrates ~2% of the mass at the cap — the high tail density that
+    makes all of the paper's Search relative errors fall below 1% without
+    few-k merging.
     """
     g = _rng(seed)
     values = np.exp(g.normal(np.log(25_000.0), 1.0, n))
-    return np.maximum(np.rint(np.minimum(values, float(sla_us))), 1.0)
+    return np.maximum(np.rint(np.minimum(values, SEARCH_SLA_US)), 1.0)
 
 
 def pareto_ds(n: int, *, seed: int = 12) -> np.ndarray:
@@ -109,15 +115,13 @@ def inject_burst(
     window_size: int,
     period: int,
     phi: float,
-    factor: float = 10.0,
-    offset: int = 0,
 ) -> np.ndarray:
     """Burst injection of Section 5.3: "we increase the values of the top
     N(1-phi) elements in every (N/P)th sub-window of size P by 10x".
 
-    Exactly one sub-window per window evaluation is made bursty. ``offset``
-    selects which sub-window of each group of ``N/P`` bursts. When the top
-    ``N(1-phi)`` exceed a period, the whole sub-window is scaled.
+    Exactly one sub-window per window evaluation is made bursty: the first
+    of each group of ``N/P``. When the top ``N(1-phi)`` exceed a period, the
+    whole sub-window is scaled by ``BURST_FACTOR``.
     """
     from repro.core.quantile import kth_largest_count
 
@@ -125,11 +129,11 @@ def inject_burst(
     n_subs_per_window = window_size // period
     big_k = min(kth_largest_count(phi, window_size), period)
     n_subs = len(out) // period
-    for s in range(offset, n_subs, n_subs_per_window):
+    for s in range(0, n_subs, n_subs_per_window):
         lo, hi = s * period, (s + 1) * period
         sub = out[lo:hi]
         top_idx = np.argpartition(sub, len(sub) - big_k)[len(sub) - big_k :]
-        sub[top_idx] *= factor
+        sub[top_idx] *= BURST_FACTOR
     return out
 
 

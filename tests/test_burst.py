@@ -48,17 +48,17 @@ class TestMannWhitneyU:
     def test_identical_distributions_not_greater(self):
         g = np.random.default_rng(0)
         x, y = g.normal(0, 1, 50), g.normal(0, 1, 50)
-        assert not mann_whitney_u(x, y, alpha=0.01).greater
+        assert not mann_whitney_u(x, y).greater
 
     def test_clearly_larger_detected(self):
         g = np.random.default_rng(1)
         x, y = g.normal(10, 1, 30), g.normal(0, 1, 30)
-        assert mann_whitney_u(x, y, alpha=0.01).greater
+        assert mann_whitney_u(x, y).greater
 
     def test_smaller_not_flagged(self):
         g = np.random.default_rng(2)
         x, y = g.normal(-10, 1, 30), g.normal(0, 1, 30)
-        res = mann_whitney_u(x, y, alpha=0.01)
+        res = mann_whitney_u(x, y)
         assert not res.greater and res.z < 0
 
     def test_empty_inputs(self):
@@ -74,9 +74,16 @@ class TestMannWhitneyU:
         res = mann_whitney_u(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
         assert res.u == pytest.approx(2.0)
 
-    def test_unsupported_alpha(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u(np.arange(5.0), np.arange(5.0), alpha=0.42)
+    def test_level_is_one_percent(self):
+        # Two shifted runs of integers; z is set by (n1, n2, shift) alone.
+        def z_test(n1, n2, shift):
+            x = np.arange(n1, dtype=np.float64) + shift + 0.5
+            return mann_whitney_u(x, np.arange(n2, dtype=np.float64))
+
+        below = z_test(29, 39, 11)  # significant at 0.05, not at 0.01
+        assert 1.6449 < below.z < 2.3263 and not below.greater
+        above = z_test(19, 22, 6)  # just past the 0.01 critical value
+        assert 2.3263 < above.z < 2.33 and above.greater
 
     def test_z_sign_convention(self):
         g = np.random.default_rng(3)
@@ -87,7 +94,7 @@ class TestMannWhitneyU:
         # A 10x burst in the tail (the paper's injection) must be flagged.
         base = np.linspace(1_800, 2_500, 20)
         burst = base * 10
-        assert mann_whitney_u(burst, base, alpha=0.01).greater
+        assert mann_whitney_u(burst, base).greater
 
 
     @given(
@@ -109,19 +116,19 @@ class TestBurstDetector:
         assert d.observe(np.arange(10.0)) is False
 
     def test_detects_10x_jump(self):
-        d = BurstDetector(alpha=0.01)
+        d = BurstDetector()
         base = np.linspace(1_800, 2_500, 16)
         assert d.observe(base) is False
         assert d.observe(base * 10) is True
 
     def test_steady_traffic_not_flagged(self):
-        d = BurstDetector(alpha=0.01)
+        d = BurstDetector()
         g = np.random.default_rng(4)
         flags = [d.observe(np.sort(g.normal(2_000, 100, 16))[::-1]) for _ in range(20)]
         assert sum(flags) <= 2  # ~1% false-positive rate at alpha=0.01
 
     def test_recovers_after_burst(self):
-        d = BurstDetector(alpha=0.01)
+        d = BurstDetector()
         base = np.linspace(1_800, 2_500, 16)
         d.observe(base)
         assert d.observe(base * 10) is True

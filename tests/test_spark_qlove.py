@@ -1,14 +1,12 @@
-"""Spark tests: end-to-end QLOVE + exact reference (sparklayer/qlove_spark.py,
-sparklayer/exact_spark.py)."""
+"""Spark tests: end-to-end QLOVE (sparklayer/qlove_spark.py) against the
+kernel and the exact sliding reference."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.fewk import FewKConfig
 from repro.core.qlove import QloveOperator
-from repro.oracle import assert_equivalent
-from repro.sparklayer.exact_spark import exact_window_quantiles
+from repro.experiments.exact_ref import exact_sliding_quantiles
 from repro.sparklayer.level1 import collect_summaries, freq_state, subwindow_summaries
 from repro.sparklayer.qlove_spark import qlove_estimates
 from repro.streams.windows import WindowSpec
@@ -169,64 +167,11 @@ class TestQloveEstimates:
 
 
 class TestExactSpark:
-    def test_matches_oracle_sql(self, spark, events):
-        df = (
-            exact_window_quantiles(events, SPEC, (0.5, 0.999))
-            .select(
-                "w",
-                F.col("estimates")[0].alias("q50"),
-                F.col("estimates")[1].alias("q999"),
-            )
-        )
-        n = SPEC.n_subwindows
-        assert_equivalent(
-            df,
-            f"""
-            WITH member AS (
-              SELECT w.w AS w, e.value
-              FROM events e
-              JOIN (SELECT UNNEST(GENERATE_SERIES({n - 1}, 11)) AS w) w
-                ON CAST(FLOOR(e.seq / {SPEC.period}) AS BIGINT)
-                   BETWEEN w.w - {n - 1} AND w.w),
-            ranked AS (
-              SELECT w, value,
-                     ROW_NUMBER() OVER (PARTITION BY w ORDER BY value) AS rnk,
-                     COUNT(*) OVER (PARTITION BY w) AS cnt
-              FROM member)
-            SELECT w,
-                   MAX(CASE WHEN rnk = CAST(CEIL(0.5 * cnt) AS BIGINT) THEN value END) AS q50,
-                   MAX(CASE WHEN rnk = CAST(CEIL(0.999 * cnt) AS BIGINT) THEN value END) AS q999
-            FROM ranked GROUP BY w
-            """,
-            events=events,
-        )
-
-    def test_matches_numpy(self, spark, events, stream):
-        from repro.core.compression import quantize_sig
-        from repro.core.quantile import exact_quantiles
-
-        for sig_digits in (None, 2):
-            rows = {
-                r.w: r.estimates
-                for r in exact_window_quantiles(
-                    events, SPEC, PHIS, sig_digits=sig_digits
-                ).collect()
-            }
-            for e in range(SPEC.n_evaluations(len(stream))):
-                lo, hi = SPEC.window_bounds(e)
-                w = SPEC.n_subwindows - 1 + e
-                window = stream[lo:hi]
-                if sig_digits is not None:
-                    window = quantize_sig(window, sig_digits)
-                np.testing.assert_array_equal(rows[w], exact_quantiles(window, PHIS))
-
-    def test_invalid_digits_raise_when_query_is_built(self, events):
-        with pytest.raises(ValueError):
-            exact_window_quantiles(events, SPEC, PHIS, sig_digits=0)
-
-    def test_qlove_value_error_small_vs_exact(self, spark, events):
+    def test_qlove_value_error_small_vs_exact(self, spark, events, stream):
+        # Window w ends at sub-window w; evaluation e ends at sub-window n - 1 + e.
         exact = {
-            r.w: r.estimates for r in exact_window_quantiles(events, SPEC, PHIS).collect()
+            SPEC.n_subwindows - 1 + e: q
+            for e, q in enumerate(exact_sliding_quantiles(stream, SPEC, PHIS))
         }
         est = {
             r.w: r.estimates

@@ -145,11 +145,3 @@ class TestInjectBurst:
         stream = np.ones(4_000)
         inject_burst(stream, window_size=4_000, period=1_000, phi=0.999)
         assert (stream == 1.0).all()
-
-    def test_offset(self):
-        stream = np.ones(4_000)
-        out = inject_burst(
-            stream, window_size=4_000, period=1_000, phi=0.999, offset=2
-        )
-        assert (out[:2_000] == 1.0).all()
-        assert (out[2_000:3_000] != 1.0).any()
